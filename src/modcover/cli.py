@@ -9,13 +9,11 @@ import sys
 from pathlib import Path
 
 from .covering import (
-    BoundReport,
     SearchBudget,
     BudgetExceededError,
+    _bound_only,
     bound_report,
     covering_radius,
-    delsarte_bound,
-    sphere_covering_lower_bound,
 )
 from .families import FAMILY_NAMES, FamilySpec, build_family
 from .linalg import format_generator_file, parse_generator_file
@@ -35,24 +33,21 @@ def _default_threads() -> int:
 
 def _add_common(parser: argparse.ArgumentParser, *, budgets: bool = True) -> None:
     parser.add_argument("--format", choices=("json", "table"), default=None, help="output format")
-    parser.add_argument("--threads", type=int, default=_default_threads(), help="worker count (env MODCOVER_THREADS)")
+    parser.add_argument(
+        "--threads", type=int, default=_default_threads(), help="accepted for compatibility; unused (env MODCOVER_THREADS)"
+    )
     if budgets:
-        parser.add_argument("--budget-vectors", type=int, default=None, help="max vectors visited / distance evaluations")
-        parser.add_argument("--budget-memory", type=int, default=None, help="max coset table entries")
+        parser.add_argument("--budget-vectors", type=int, default=None, help="max distance evaluations of the direct scan")
+        parser.add_argument("--budget-memory", type=int, default=None, help="max bytes of the coset DP's working set")
 
 
 def _budget_from(args) -> SearchBudget:
     kw = {}
-    if getattr(args, "budget_vectors", None):
-        kw["visit"] = args.budget_vectors
-        kw["direct_evals"] = args.budget_vectors
-        kw["bfs_visit"] = args.budget_vectors
-    if getattr(args, "budget", None):
-        kw["visit"] = args.budget
-        kw["direct_evals"] = args.budget
-        kw["bfs_visit"] = args.budget
+    for name in ("budget_vectors", "budget"):
+        if getattr(args, name, None):
+            kw["direct_evals"] = getattr(args, name)
     if getattr(args, "budget_memory", None):
-        kw["table_entries"] = args.budget_memory
+        kw["table_bytes"] = args.budget_memory
     return SearchBudget(**kw)
 
 
@@ -77,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True, help="generator matrix file")
     p.add_argument("--metric", default="lee", help="hamming, lee, homogeneous or euclidean")
     p.add_argument("--method", choices=("auto", "direct", "syndrome", "bfs"), default="auto")
-    p.add_argument("--r-cap", type=int, default=None, help="weight cap for the bfs engine")
+    p.add_argument("--r-cap", type=int, default=None, help="bfs method: report [r_cap+1, inf] if the radius exceeds it")
     p.add_argument("--budget", type=int, default=None, help="alias for --budget-vectors")
-    p.add_argument("--no-witness", action="store_true", help="skip the deep-hole witness scan")
+    p.add_argument("--no-witness", action="store_true", help="skip the deep-hole witness pass")
     _add_common(p)
 
     p = sub.add_parser("bounds", help="sphere-covering / Delsarte / Mattson bounds for a matrix file")
@@ -177,14 +172,7 @@ def _cmd_radius(args) -> int:
             witness=not args.no_witness,
         )
     except BudgetExceededError:
-        lo = sphere_covering_lower_bound(code.n, code.size, code.ring.s)
-        try:
-            hi = delsarte_bound(code, budget_k=20)
-        except BudgetExceededError:
-            hi = None
-        from .covering import RadiusReport
-
-        report = RadiusReport(metric.value, "bound_only", lo, hi)
+        report = _bound_only(code, metric)
     payload = report.to_dict()
     if args.format == "table":
         value = report.value if report.exact else f"[{report.lo}, {report.hi if report.hi is not None else 'inf'}]"

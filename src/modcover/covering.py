@@ -1,37 +1,56 @@
-"""Exact covering-radius engines, bounds, and coset-leader machinery.
+"""Exact covering-radius engines, bounds, and coset-leader tables.
 
-Three engines compute exact radii: ``direct`` scans every ambient vector against
-every codeword, ``syndrome`` streams the ambient space once into a dense
-minimum-weight-per-coset table, and ``bfs`` visits vectors in increasing weight
-order until every coset is covered.  All three agree wherever they run; budgets
-degrade the result to an interval report rather than ever returning a wrong
-exact value.
+The covering radius of a linear code is the largest minimum weight over its
+cosets.  One dynamic programme over the syndrome group finds every coset's
+minimum weight, one coordinate at a time (the syndrome trellis of Wolf, IEEE
+Trans. IT 24(1), 1978):
+
+    T_{j+1}[g] = min_a T_j[g - a h_j] + w(a),
+
+where h_j is coordinate j's syndrome.  It costs n * 2^s * #cosets, whatever the
+ambient size 2^(sn).  ``coset_leader_table``, ``coset_weight_distribution``,
+``covering_radius_syndrome`` and ``covering_radius_bfs`` are views of its
+table; the lexicographically first deep hole comes from a backward
+reachability pass over the same keys.  ``covering_radius_of_set`` (the direct
+engine) scans every ambient vector against every word, so it also serves
+non-linear sets such as Gray images.  A budget that does not fit raises
+``BudgetExceededError`` before the work is allocated; ``covering_radius`` then
+falls back to the direct scan and then to a bounds-only interval, never to a
+wrong exact value.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import LinearCode, enumerate_codewords
 from .ring import BudgetExceededError, RingSpec, WeightMetric
 
-DEFAULT_CHUNK = 1 << 18
+# Cells (keys times digits) per gather of the coset DP.  Each int64 temporary
+# stays under 128 KiB, the allocator's default mmap threshold, so the blocks
+# of a first call are not page-faulted in afresh one by one.
+_BLOCK = 1 << 14
+_BLOCK_BYTES = 48  # bytes of temporaries per cell of a gather
+_DIRECT_CHUNK = 1 << 12  # ambient vectors per step of the direct scan
 
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Engine budgets; exceeding one degrades to an interval, never a wrong exact."""
+    """Engine budgets; exceeding one degrades to an interval, never a wrong exact.
+
+    ``direct_evals`` caps the direct scan's distance evaluations (ambient
+    vectors times words).  ``table_bytes`` caps the coset DP's working set:
+    its two weight tables, the witness pass's bit tables and its block
+    buffers.  The default fits ``simplex_alpha(2)`` (2^28 cosets, n = 16).
+    """
 
     direct_evals: int = 1 << 34
-    visit: int = 1 << 32
-    table_entries: int = 1 << 28
-    bfs_visit: int = 1 << 30
+    table_bytes: int = 2 << 30
 
 
 DEFAULT_BUDGET = SearchBudget()
@@ -85,9 +104,6 @@ def _exact_report(metric, method, value, witness, visited, seconds) -> RadiusRep
     return RadiusReport(metric.value, method, value, value, value, witness, visited, seconds)
 
 
-# ---------------------------------------------------------------------------
-# ambient-space streaming
-
 def _digits_of_range(start: int, stop: int, n: int, s: int) -> np.ndarray:
     """Vectors with lexicographic indices [start, stop) as base-2^s digit rows."""
     idx = np.arange(start, stop, dtype=np.int64)
@@ -95,153 +111,112 @@ def _digits_of_range(start: int, stop: int, n: int, s: int) -> np.ndarray:
     return ((idx[:, None] >> shifts) & ((1 << s) - 1)).astype(np.uint8)
 
 
-def _index_of_vector(coords: Sequence[int], s: int) -> int:
-    idx = 0
-    for c in coords:
-        idx = (idx << s) | int(c)
-    return idx
-
+# ---------------------------------------------------------------------------
+# coset DP
 
 class _SyndromeMap:
     """Packs the mixed-radix syndrome of a vector into a dense integer key.
 
     Row i of the dual's standard form is 2^v * u_i; the residue x.u_i mod
     2^(s-v) is a coset invariant with exactly one value per coset, so the packed
-    keys enumerate the cosets with no gaps.
+    keys enumerate the cosets with no gaps.  Field i holds s - v bits and
+    ``top`` has each field's high bit set, so two keys add field-wise as
+    ``((g & low) + (c & low)) ^ ((g ^ c) & top)``.  ``columns[j, a]`` is the
+    key of a * e_j.  Blocks of ``block`` keys, a multiple of 8, gather all
+    2^s digits in ``_BLOCK`` cells and line up with the bytes of a bit table.
     """
 
     def __init__(self, code: LinearCode):
         dual = code.dual()
         self.s = code.ring.s
         self.n = code.n
-        self.units = dual.std_unit_rows_unpermuted().astype(np.int64)
-        levels = np.array(dual.std.levels, dtype=np.int64)
-        bits = self.s - levels
-        self.masks = ((1 << bits) - 1).astype(np.int64)
-        self.shifts = np.concatenate([[0], np.cumsum(bits)[:-1]]).astype(np.int64)
-        self.total_bits = int(bits.sum())
+        self.units = dual.std_unit_rows_unpermuted()
+        bits = [self.s - v for v in dual.std.levels]
+        self.masks = np.array([(1 << b) - 1 for b in bits], dtype=np.int64)
+        self.shifts = np.array([sum(bits[:i]) for i in range(len(bits))], dtype=np.int64)
+        self.total_bits = sum(bits)
         if self.total_bits > 62:
             raise BudgetExceededError(f"coset key needs {self.total_bits} bits; table is infeasible")
         self.n_cosets = 1 << self.total_bits
-        self._units_f32 = self.units.astype(np.float32)
+        self.top = sum(1 << (int(sh) + b - 1) for sh, b in zip(self.shifts, bits))
+        self.low = (self.n_cosets - 1) ^ self.top
+        syn = np.arange(1 << self.s)[None, :, None] * self.units.T[:, None, :]
+        self.columns = ((syn & self.masks) << self.shifts).sum(axis=-1)
+        self.block = min(max(8, _BLOCK >> self.s), self.n_cosets)
+        first = np.arange(self.block, dtype=np.int64)
+        self._first = (first & self.low, first & self.top)
 
     def keys_of(self, digits: np.ndarray) -> np.ndarray:
-        if not len(self.units):
-            return np.zeros(len(digits), dtype=np.int64)
-        syn = (digits.astype(np.float32) @ self._units_f32.T).astype(np.int64)
-        syn &= self.masks[None, :]
-        return (syn << self.shifts[None, :]).sum(axis=1)
+        syn = np.asarray(digits, dtype=np.int64) @ self.units.T
+        return ((syn & self.masks) << self.shifts).sum(axis=-1)
 
     def key_of(self, coords: Sequence[int]) -> int:
-        return int(self.keys_of(np.asarray(coords, dtype=np.uint8)[None, :])[0])
+        return int(self.keys_of(np.asarray(coords)[None, :])[0])
 
+    def add(self, low_part, top_part, c):
+        """Keys g + c, for g given as (g & low, g & top); ints or broadcasting arrays."""
+        out = low_part + (c & self.low)
+        out ^= top_part ^ (c & self.top)
+        return out
 
-def _weight_table(ring: RingSpec, metric: WeightMetric) -> np.ndarray:
-    return metric.element_weights(ring).astype(np.int32)
+    def blocks(self):
+        """(first key, g & low, g & top) for consecutive blocks of keys g.
+
+        A block starts at a multiple of its power-of-two size, so its keys are
+        the first block's keys with the start's bits or-ed in."""
+        low, top = self._first
+        yield 0, low, top
+        for lo in range(self.block, self.n_cosets, self.block):
+            yield lo, low | (lo & self.low), top | (lo & self.top)
 
 
 def _min_weight_dtype(max_weight: int):
     return np.uint8 if max_weight < 0xFF else (np.uint16 if max_weight < 0xFFFF else np.uint32)
 
 
-def _scan_coset_minima(args) -> np.ndarray:
-    """Stream an index range and fold per-coset minimum weights into a dense table."""
-    (units, masks, shifts, n, s, wtable, n_cosets, start, stop, chunk, dtype_name) = args
-    dtype = np.dtype(dtype_name)
-    sentinel = np.iinfo(dtype).max
-    table = np.full(n_cosets, sentinel, dtype=dtype)
-    units_f32 = units.astype(np.float32)
-    for lo in range(start, stop, chunk):
-        hi = min(lo + chunk, stop)
-        digits = _digits_of_range(lo, hi, n, s)
-        weights = wtable[digits].sum(axis=1, dtype=np.int32).astype(dtype)
-        if len(units):
-            syn = (digits.astype(np.float32) @ units_f32.T).astype(np.int64)
-            syn &= masks[None, :]
-            keys = (syn << shifts[None, :]).sum(axis=1)
-        else:
-            keys = np.zeros(hi - lo, dtype=np.int64)
-        np.minimum.at(table, keys, weights)
-    return table
+def _table_dtype(n: int, wtable: np.ndarray):
+    """The weight table's dtype and its value for a coset not yet reached,
+    which exceeds every real weight and survives adding one more digit."""
+    wmax = int(wtable.max())
+    unreached = n * wmax + 1
+    return _min_weight_dtype(unreached + wmax), unreached
 
 
-def coset_leader_table(
-    code: LinearCode,
-    metric: WeightMetric,
-    *,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    threads: int = 1,
-    with_leaders: bool = False,
-    chunk: int = DEFAULT_CHUNK,
-) -> "CosetLeaderTable":
-    """Complete minimum-coset-weight table, built by one pass over the ambient space."""
-    metric.check_ring(code.ring)
-    s, n = code.ring.s, code.n
-    total = 1 << (s * n)
-    smap = _SyndromeMap(code)
-    if smap.n_cosets > budget.table_entries:
+def _working_set_bytes(code: LinearCode, metric: WeightMetric, witness: bool) -> int:
+    """Peak bytes of the coset DP, by arithmetic on the code's parameters.
+
+    Two weight tables and the block buffers; with the witness pass, at most
+    min(n, key bits) + 2 bit tables and one byte per coset (see
+    ``_lex_first_deep_hole``).
+    """
+    bits = code.ring.s * code.n - code.two_dimension
+    cosets = 1 << bits
+    dtype, _ = _table_dtype(code.n, metric.element_weights(code.ring))
+    need = 2 * cosets * np.dtype(dtype).itemsize + max(_BLOCK, 8 << code.ring.s) * _BLOCK_BYTES
+    if witness:
+        need += (min(code.n, bits) + 2) * ((cosets + 7) // 8) + cosets
+    return need
+
+
+def _check_table_bytes(code: LinearCode, metric: WeightMetric, budget: SearchBudget, witness: bool) -> None:
+    need = _working_set_bytes(code, metric, witness)
+    if need > budget.table_bytes:
         raise BudgetExceededError(
-            f"{smap.n_cosets} cosets exceed the table budget {budget.table_entries}"
+            f"the coset DP needs {need} bytes, over the table budget of {budget.table_bytes}"
         )
-    if total > budget.visit:
-        raise BudgetExceededError(f"visiting {total} vectors exceeds the budget {budget.visit}")
-    wtable = _weight_table(code.ring, metric)
-    dtype = _min_weight_dtype(int(wtable.max()) * n + 1)
-    args = [
-        (smap.units, smap.masks, smap.shifts, n, s, wtable, smap.n_cosets, lo, hi, chunk, dtype.__name__)
-        for lo, hi in _split_range(total, threads)
-    ]
-    if threads > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(_scan_coset_minima, args))
-        weights = partials[0]
-        for part in partials[1:]:
-            np.minimum(weights, part, out=weights)
-    else:
-        weights = _scan_coset_minima(args[0])
-    sentinel = np.iinfo(dtype).max
-    if np.any(weights == sentinel):
-        raise AssertionError("incomplete coset table: some coset was never visited")
-    leaders = None
-    if with_leaders:
-        leaders = _find_leaders(smap, wtable, weights, chunk)
-    return CosetLeaderTable(code, metric, smap, weights, leaders, True, total)
-
-
-def _find_leaders(smap: _SyndromeMap, wtable, weights, chunk) -> np.ndarray:
-    """Second lexicographic pass recording, per coset, the first vector attaining
-    the coset minimum (hence the lexicographically least minimum-weight leader)."""
-    n, s = smap.n, smap.s
-    total = 1 << (s * n)
-    leaders = np.zeros((smap.n_cosets, n), dtype=np.uint8)
-    pending = np.ones(smap.n_cosets, dtype=bool)
-    remaining = smap.n_cosets
-    for lo in range(0, total, chunk):
-        digits = _digits_of_range(lo, min(lo + chunk, total), n, s)
-        keys = smap.keys_of(digits)
-        w = wtable[digits].sum(axis=1, dtype=np.int32)
-        hit = pending[keys] & (w == weights[keys])
-        if np.any(hit):
-            # keep only the first hit per key inside this chunk
-            idx = np.flatnonzero(hit)
-            first = idx[np.unique(keys[idx], return_index=True)[1]]
-            leaders[keys[first]] = digits[first]
-            pending[keys[first]] = False
-            remaining -= len(first)
-            if remaining == 0:
-                break
-    return leaders
 
 
 @dataclass
 class CosetLeaderTable:
-    """Minimum coset weights keyed by packed syndrome; complete by construction."""
+    """Minimum coset weights keyed by packed syndrome; complete by construction.
+
+    ``visited`` counts the DP's cell updates, n * (2^s - 1) * #cosets.
+    """
 
     code: LinearCode
     metric: WeightMetric
     syndromes: _SyndromeMap
     weights: np.ndarray
-    leaders: np.ndarray | None
     complete: bool
     visited: int
 
@@ -251,6 +226,98 @@ class CosetLeaderTable:
     def distribution(self) -> dict[int, int]:
         counts = np.bincount(self.weights)
         return {int(w): int(c) for w, c in enumerate(counts) if c}
+
+
+def coset_leader_table(
+    code: LinearCode,
+    metric: WeightMetric,
+    *,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    threads: int = 1,
+) -> CosetLeaderTable:
+    """Minimum weight of every coset, by the coset DP.
+
+    table[g] starts at 0 for the zero key and unreached elsewhere; coordinate j
+    then takes the minimum over its digits a of table[g - a h_j] + w(a), with
+    one gather of all digits per block of keys.  ``threads`` is accepted for
+    compatibility and unused.
+    """
+    metric.check_ring(code.ring)
+    _check_table_bytes(code, metric, budget, witness=False)
+    smap = _SyndromeMap(code)
+    wtable = metric.element_weights(code.ring)
+    dtype, unreached = _table_dtype(code.n, wtable)
+    m = 1 << smap.s
+    digits = np.arange(1, m)
+    weights = wtable[digits].astype(dtype)[:, None]
+    table = np.full(smap.n_cosets, unreached, dtype=dtype)
+    table[0] = 0
+    nxt = np.empty_like(table)
+    for j in range(smap.n):
+        minus = smap.columns[j, m - digits][:, None]  # keys of -a * e_j
+        for lo, low, top in smap.blocks():
+            gathered = table[smap.add(low, top, minus)]
+            gathered += weights
+            hi = lo + len(low)
+            np.minimum(table[lo:hi], gathered.min(axis=0), out=nxt[lo:hi])
+        table, nxt = nxt, table
+    if int(table.max()) >= unreached:
+        raise AssertionError("incomplete coset table: some coset was never reached")
+    return CosetLeaderTable(code, metric, smap, table, True, smap.n * (m - 1) * smap.n_cosets)
+
+
+def _popcount(bits: np.ndarray) -> int:
+    return int(np.bitwise_count(bits).sum())
+
+
+def _lex_first_deep_hole(table: CosetLeaderTable, radius: int) -> tuple[int, ...]:
+    """Lexicographically first vector whose coset minimum equals ``radius``.
+
+    The backward pass builds bit tables reach[j], j = n..1, marking the keys
+    from which some digits on coordinates j..n-1 lead to a coset of weight
+    ``radius``; the greedy pass then takes, coordinate by coordinate, the
+    smallest digit whose prefix key is marked in the next table.  reach[j] is
+    the target plus the subgroup spanned by the columns j..n-1, so it changes
+    at most once per key bit: equal neighbours share one array, and at most
+    min(n, key bits) + 1 tables are held, plus the one being built and the
+    previous one unpacked to a byte per key.
+    """
+    smap = table.syndromes
+    n, size = smap.n, smap.n_cosets
+    target = np.empty((size + 7) // 8, dtype=np.uint8)
+    for lo in range(0, size, smap.block):
+        hi = min(lo + smap.block, size)
+        target[lo >> 3 : (hi + 7) >> 3] = np.packbits(table.weights[lo:hi] == radius, bitorder="little")
+    reach = [target] * (n + 1)
+    filled = _popcount(target)
+    for j in range(n - 1, 0, -1):
+        prev = reach[j + 1]
+        if filled == size:  # so is every earlier table
+            reach[: j + 1] = [prev] * (j + 1)
+            break
+        plus = smap.columns[j, 1:][:, None]  # keys of a * e_j
+        marked = np.unpackbits(prev, count=size, bitorder="little").view(bool)
+        cur = np.empty_like(prev)
+        for lo, low, top in smap.blocks():
+            hi = lo + len(low)
+            hit = marked[smap.add(low, top, plus)].any(axis=0)
+            hit |= marked[lo:hi]
+            cur[lo >> 3 : (hi + 7) >> 3] = np.packbits(hit, bitorder="little")
+        count = _popcount(cur)
+        reach[j] = prev if count == filled else cur
+        filled = count
+    key, out, columns = 0, [], smap.columns.tolist()
+    for j in range(n):
+        marks, col = reach[j + 1], columns[j]
+        for a in range(len(col)):
+            k = smap.add(key & smap.low, key & smap.top, col[a])
+            if (int(marks[k >> 3]) >> (k & 7)) & 1:
+                key = k
+                out.append(a)
+                break
+        else:
+            raise AssertionError("no deep hole found at the computed radius")
+    return tuple(out)
 
 
 def coset_weight_distribution(
@@ -265,23 +332,47 @@ def coset_weight_distribution(
     return coset_leader_table(code, metric, budget=budget, threads=threads).distribution()
 
 
+def _dp_radius(code, metric, budget, witness, r_cap=None) -> RadiusReport:
+    t0 = time.perf_counter()
+    _check_table_bytes(code, metric, budget, witness)
+    table = coset_leader_table(code, metric, budget=budget)
+    radius = int(table.weights.max())
+    if r_cap is not None and radius > r_cap:
+        return RadiusReport(
+            metric.value, "syndrome_table", r_cap + 1, None, None, None, table.visited, time.perf_counter() - t0
+        )
+    wit = _lex_first_deep_hole(table, radius) if witness else None
+    return _exact_report(metric, "syndrome_table", radius, wit, table.visited, time.perf_counter() - t0)
+
+
+def covering_radius_syndrome(
+    code: LinearCode,
+    metric: WeightMetric,
+    *,
+    budget: SearchBudget = DEFAULT_BUDGET,
+    threads: int = 1,
+    witness: bool = True,
+) -> RadiusReport:
+    """Exact radius as the largest minimum weight in the coset DP's table, with
+    the lexicographically first deep hole as witness.  ``threads`` is accepted
+    for compatibility and unused."""
+    return _dp_radius(code, metric, budget, witness)
+
+
+def covering_radius_bfs(
+    code: LinearCode,
+    metric: WeightMetric,
+    r_cap: int,
+    *,
+    budget: SearchBudget = DEFAULT_BUDGET,
+) -> RadiusReport:
+    """The coset DP's exact radius when it is at most ``r_cap``; otherwise the
+    interval [r_cap + 1, infinity), what a search capped at weight r_cap knows."""
+    return _dp_radius(code, metric, budget, True, r_cap)
+
+
 # ---------------------------------------------------------------------------
 # direct engine
-
-def _scan_min_distances(args):
-    (words, wtable, n, s, start, stop, chunk) = args
-    best = -1
-    best_idx = -1
-    for lo in range(start, stop, chunk):
-        digits = _digits_of_range(lo, min(lo + chunk, stop), n, s)
-        diffs = (digits[:, None, :] - words[None, :, :]) & ((1 << s) - 1)
-        dmin = wtable[diffs].sum(axis=2, dtype=np.int32).min(axis=1)
-        local = int(dmin.max())
-        if local > best:
-            best = local
-            best_idx = lo + int(np.argmax(dmin == local))
-    return best, best_idx
-
 
 def covering_radius_of_set(
     words: np.ndarray,
@@ -290,9 +381,10 @@ def covering_radius_of_set(
     *,
     budget: SearchBudget = DEFAULT_BUDGET,
     threads: int = 1,
-    chunk: int = 1 << 12,
 ) -> RadiusReport:
-    """Exact covering radius of an arbitrary (possibly non-linear) set of words."""
+    """Exact covering radius of an arbitrary (possibly non-linear) set of words,
+    with the lexicographically first deep hole.  ``threads`` is accepted for
+    compatibility and unused."""
     metric.check_ring(ring)
     words = np.asarray(words, dtype=np.uint8)
     if words.ndim != 2 or not len(words):
@@ -305,19 +397,16 @@ def covering_radius_of_set(
             f"{total} x {len(words)} distance evaluations exceed the budget "
             f"{budget.direct_evals}; the syndrome engine may still fit"
         )
-    wtable = _weight_table(ring, metric)
+    wtable = metric.element_weights(ring).astype(np.int32)
     t0 = time.perf_counter()
-    ranges = _split_range(total, threads)
-    args = [(words, wtable, n, s, lo, hi, chunk) for lo, hi in ranges]
-    if threads > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_scan_min_distances, args))
-    else:
-        results = [_scan_min_distances(a) for a in args]
     best, best_idx = -1, -1
-    for val, idx in results:
-        if val > best or (val == best and idx < best_idx):
-            best, best_idx = val, idx
+    for lo in range(0, total, _DIRECT_CHUNK):
+        digits = _digits_of_range(lo, min(lo + _DIRECT_CHUNK, total), n, s)
+        diffs = (digits[:, None, :] - words[None, :, :]) & ((1 << s) - 1)
+        dmin = wtable[diffs].sum(axis=2, dtype=np.int32).min(axis=1)
+        local = int(dmin.max())
+        if local > best:
+            best, best_idx = local, lo + int(np.argmax(dmin))
     witness = tuple(int(x) for x in _digits_of_range(best_idx, best_idx + 1, n, s)[0])
     return _exact_report(metric, "direct", best, witness, total, time.perf_counter() - t0)
 
@@ -335,164 +424,21 @@ def covering_radius_direct(
 
 
 # ---------------------------------------------------------------------------
-# syndrome engine
-
-def covering_radius_syndrome(
-    code: LinearCode,
-    metric: WeightMetric,
-    *,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    threads: int = 1,
-    witness: bool = True,
-    chunk: int = DEFAULT_CHUNK,
-) -> RadiusReport:
-    """Exact radius as the largest minimum weight over the complete coset table."""
-    t0 = time.perf_counter()
-    table = coset_leader_table(code, metric, budget=budget, threads=threads, chunk=chunk)
-    radius = int(table.weights.max())
-    wit = None
-    if witness:
-        wit = _first_deep_hole(table, radius, chunk, threads)
-    return _exact_report(metric, "syndrome_table", radius, wit, table.visited, time.perf_counter() - t0)
-
-
-def _scan_first_hit(args):
-    """First index in [start, stop) whose coset minimum equals the radius, else None."""
-    (units, masks, shifts, n, s, weights, radius, start, stop, chunk) = args
-    units_f32 = units.astype(np.float32)
-    for lo in range(start, stop, chunk):
-        digits = _digits_of_range(lo, min(lo + chunk, stop), n, s)
-        if len(units):
-            syn = (digits.astype(np.float32) @ units_f32.T).astype(np.int64)
-            syn &= masks[None, :]
-            keys = (syn << shifts[None, :]).sum(axis=1)
-        else:
-            keys = np.zeros(len(digits), dtype=np.int64)
-        hit = weights[keys] == radius
-        if np.any(hit):
-            return lo + int(np.argmax(hit))
-    return None
-
-
-def _first_deep_hole(table: "CosetLeaderTable", radius: int, chunk: int, threads: int = 1) -> tuple[int, ...]:
-    """Lexicographically first vector whose coset minimum equals the radius.
-
-    Workers scan disjoint index ranges and stop at their first local hit; the
-    smallest hit index wins, so the result does not depend on the worker count.
-    """
-    smap = table.syndromes
-    total = 1 << (smap.s * smap.n)
-    weights = table.weights
-    args = [
-        (smap.units, smap.masks, smap.shifts, smap.n, smap.s, weights, radius, lo, hi, chunk)
-        for lo, hi in _split_range(total, threads)
-    ]
-    if threads > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            hits = [h for h in pool.map(_scan_first_hit, args) if h is not None]
-        first = min(hits, default=None)
-    else:
-        first = _scan_first_hit(args[0])
-    if first is None:
-        raise AssertionError("no deep hole found at the computed radius")
-    return tuple(int(x) for x in _digits_of_range(first, first + 1, smap.n, smap.s)[0])
-
-
-# ---------------------------------------------------------------------------
-# weight-ordered (BFS) engine
-
-def _iter_exact_weight(n: int, elem_w: Sequence[int], target: int) -> Iterator[tuple[int, ...]]:
-    """All vectors whose per-coordinate weights sum to target, in lex order."""
-    m = len(elem_w)
-    maxw = max(elem_w)
-    cur = [0] * n
-
-    def rec(pos: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if pos == n:
-            if rem == 0:
-                yield tuple(cur)
-            return
-        room = maxw * (n - pos - 1)
-        for v in range(m):
-            left = rem - elem_w[v]
-            if 0 <= left <= room:
-                cur[pos] = v
-                yield from rec(pos + 1, left)
-        cur[pos] = 0
-
-    if n == 0:
-        if target == 0:
-            yield ()
-        return
-    yield from rec(0, target)
-
-
-def covering_radius_bfs(
-    code: LinearCode,
-    metric: WeightMetric,
-    r_cap: int,
-    *,
-    budget: SearchBudget = DEFAULT_BUDGET,
-    batch: int = 4096,
-) -> RadiusReport:
-    """Visit vectors in increasing weight order, marking cosets as they first appear.
-
-    If every coset is reached by weight r <= r_cap the radius is exactly r;
-    otherwise the result is the open interval [r_cap + 1, infinity).
-    """
-    metric.check_ring(code.ring)
-    t0 = time.perf_counter()
-    smap = _SyndromeMap(code)
-    if smap.n_cosets > budget.table_entries:
-        raise BudgetExceededError(f"{smap.n_cosets} cosets exceed the table budget {budget.table_entries}")
-    elem_w = [int(x) for x in metric.element_weights(code.ring)]
-    covered = np.zeros(smap.n_cosets, dtype=bool)
-    remaining = smap.n_cosets
-    visited = 0
-    for w in range(r_cap + 1):
-        buf: list[tuple[int, ...]] = []
-        for vec in _iter_exact_weight(code.n, elem_w, w):
-            buf.append(vec)
-            if len(buf) == batch:
-                hit, remaining, visited = _mark_batch(smap, covered, buf, remaining, visited)
-                if hit is not None:
-                    return _exact_report(metric, "weight_bfs", w, hit, visited, time.perf_counter() - t0)
-                buf.clear()
-                if visited > budget.bfs_visit:
-                    return RadiusReport(metric.value, "weight_bfs", w, None, None, None, visited, time.perf_counter() - t0)
-        if buf:
-            hit, remaining, visited = _mark_batch(smap, covered, buf, remaining, visited)
-            if hit is not None:
-                return _exact_report(metric, "weight_bfs", w, hit, visited, time.perf_counter() - t0)
-    return RadiusReport(
-        metric.value, "weight_bfs", r_cap + 1, None, None, None, visited, time.perf_counter() - t0
-    )
-
-
-def _mark_batch(smap, covered, buf, remaining, visited):
-    arr = np.array(buf, dtype=np.uint8)
-    keys = smap.keys_of(arr)
-    visited += len(buf)
-    for i, key in enumerate(keys):
-        if not covered[key]:
-            covered[key] = True
-            remaining -= 1
-            if remaining == 0:
-                return tuple(int(x) for x in arr[i]), remaining, visited
-    return None, remaining, visited
-
-
-# ---------------------------------------------------------------------------
 # bounds
 
 def sphere_covering_lower_bound(n: int, code_size: int, s: int) -> int:
-    """Smallest r whose binary-length ball sizes, times the code size, cover the
-    ambient space: sum_{i<=r} C(2^(s-1) n, i) >= 2^(2^(s-1) n) / |C|.  Exact
-    integer arithmetic throughout."""
+    """Smallest r with |C| * sum_{i<=r} C(2^(s-1) n, i) >= 2^(sn): a lower bound
+    on the homogeneous covering radius.
+
+    The generalized Gray map (Carlet, IEEE Trans. IT 44(4), 1998) sends
+    Z_{2^s}^n injectively into binary words of length 2^(s-1) n and carries
+    the homogeneous weight to the Hamming weight, so a ball of radius r holds
+    at most sum_{i<=r} C(2^(s-1) n, i) vectors, and |C| balls must cover all
+    2^(sn) of them.  Exact integer arithmetic throughout."""
     if n < 1 or code_size < 1:
         raise ValueError("need n >= 1 and a positive code size")
     big_n = (1 << (s - 1)) * n
-    need = 1 << big_n
+    need = 1 << (s * n)
     acc = 0
     for r in range(big_n + 1):
         acc += math.comb(big_n, r)
@@ -501,13 +447,18 @@ def sphere_covering_lower_bound(n: int, code_size: int, s: int) -> int:
     return big_n
 
 
-def delsarte_bound(code: LinearCode, *, budget_k: int = 26) -> int:
-    """Number of distinct nonzero homogeneous weights in the dual code.
+def delsarte_bound(code: LinearCode, *, budget_k: int = 26) -> int | None:
+    """Number of distinct nonzero homogeneous weights in the dual code, an upper
+    bound on the homogeneous covering radius over Z2 and Z4.
 
-    The dual is streamed through its 2-basis in chunks, so only the set of
-    distinct weights is ever held."""
+    Over Z_{2^s} with s >= 3 the count does not bound the radius in weight
+    units (the zero code of length 2 over Z8 has radius 8 and three dual
+    weights), so the result there is None.  The dual is streamed through its
+    2-basis in chunks, so only the set of distinct weights is ever held."""
     from .linalg import two_basis
 
+    if code.ring.s >= 3:
+        return None
     dual = code.dual()
     k = dual.two_dimension
     if k > budget_k:
@@ -524,6 +475,25 @@ def delsarte_bound(code: LinearCode, *, budget_k: int = 26) -> int:
         seen.update(int(w) for w in np.unique(table[words].sum(axis=1)))
     seen.discard(0)
     return len(seen)
+
+
+def _bound_only(code: LinearCode, metric: WeightMetric) -> RadiusReport:
+    """The interval [sphere bound, Delsarte bound] for an instance no exact
+    engine fits.  Both bound the homogeneous radius, so the lower one is kept
+    only for a metric weighing every element at least as much, and the upper
+    one only for a metric weighing every element at most as much."""
+    weights = metric.element_weights(code.ring)
+    homogeneous = WeightMetric.HOMOGENEOUS.element_weights(code.ring)
+    lo = 0
+    if np.all(weights >= homogeneous):
+        lo = sphere_covering_lower_bound(code.n, code.size, code.ring.s)
+    hi = None
+    if np.all(weights <= homogeneous):
+        try:
+            hi = delsarte_bound(code, budget_k=20)
+        except BudgetExceededError:
+            pass
+    return RadiusReport(metric.value, "bound_only", lo, hi)
 
 
 def mattson_stack(c0: LinearCode, c1: LinearCode, connect: np.ndarray | Sequence[Sequence[int]]) -> LinearCode:
@@ -597,51 +567,28 @@ def covering_radius(
     threads: int = 1,
     witness: bool = True,
 ) -> RadiusReport:
-    """Compute the covering radius by the requested engine, or pick one that fits.
+    """Compute the covering radius by the requested engine.
 
-    ``auto`` tries the syndrome table, then the direct scan, then the weight-
-    ordered search, and finally falls back to a bounds-only interval report.
+    ``auto`` runs the coset DP; when its working set exceeds
+    ``budget.table_bytes`` it runs the direct scan, and when that exceeds
+    ``budget.direct_evals`` too it returns a bounds-only interval.  ``r_cap``
+    applies to the ``bfs`` method only; ``threads`` is accepted for
+    compatibility and unused.
     """
     metric.check_ring(code.ring)
-    s, n = code.ring.s, code.n
-    total = 1 << (s * n)
-    max_weight = int(metric.element_weights(code.ring).max()) * n
     if method == "direct":
         return covering_radius_direct(code, metric, budget=budget, threads=threads)
     if method == "syndrome":
         return covering_radius_syndrome(code, metric, budget=budget, threads=threads, witness=witness)
     if method == "bfs":
-        cap = max_weight if r_cap is None else r_cap
+        cap = int(metric.element_weights(code.ring).max()) * code.n if r_cap is None else r_cap
         return covering_radius_bfs(code, metric, cap, budget=budget)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-
-    n_cosets = 1 << (s * n - code.two_dimension)
-    ambient_small = total <= (1 << 24)
-    cap = max_weight if r_cap is None else r_cap
-    # A large ambient space with few cosets means a big code with a small
-    # radius, where the weight-ordered search terminates after a shallow scan.
-    if not ambient_small and n_cosets <= min(budget.table_entries, 1 << 20):
-        report = covering_radius_bfs(code, metric, cap, budget=budget)
-        if report.exact:
-            return report
-    if total <= budget.visit and n_cosets <= budget.table_entries:
-        return covering_radius_syndrome(code, metric, budget=budget, threads=threads, witness=witness)
-    if total * code.size <= budget.direct_evals:
-        return covering_radius_direct(code, metric, budget=budget, threads=threads)
-    if n_cosets <= budget.table_entries:
-        report = covering_radius_bfs(code, metric, cap, budget=budget)
-        if report.exact:
-            return report
-    lb = sphere_covering_lower_bound(n, code.size, s)
     try:
-        ub = delsarte_bound(code, budget_k=20)
+        return covering_radius_syndrome(code, metric, budget=budget, threads=threads, witness=witness)
     except BudgetExceededError:
-        ub = None
-    return RadiusReport(metric.value, "bound_only", lb, ub, None, None, 0, 0.0)
-
-
-def _split_range(total: int, parts: int) -> list[tuple[int, int]]:
-    parts = max(1, min(parts, total))
-    step = (total + parts - 1) // parts
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+        pass
+    if (1 << (code.ring.s * code.n)) * code.size <= budget.direct_evals:
+        return covering_radius_direct(code, metric, budget=budget, threads=threads)
+    return _bound_only(code, metric)

@@ -10,6 +10,7 @@ import numpy as np
 from .ring import BudgetExceededError, RingSpec, Z2, ZqVector
 
 DEFAULT_ENUM_BUDGET_K = 26
+MAX_RING_EXPONENT = 16  # per-element weight tables hold 2^s entries
 
 
 @dataclass(frozen=True)
@@ -293,6 +294,8 @@ def parse_generator_file(text: str) -> LinearCode:
         s, n = int(header[0]), int(header[1])
     except ValueError:
         raise ValueError(f"malformed header {lines[0]!r}; expected integers") from None
+    if s > MAX_RING_EXPONENT:
+        raise ValueError(f"ring exponent {s} exceeds the supported maximum {MAX_RING_EXPONENT}")
     ring = RingSpec(s)
     rows = []
     for ln in lines[1:]:

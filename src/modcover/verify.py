@@ -3,8 +3,9 @@
 Each check pins a claimed formula or bound for one code family, evaluates it on
 a curated parameter grid, and compares with the exact radius computed by the
 engines.  A discrepancy listed in the shipped errata file with the same
-computed value is reported as FLAGGED; an unlisted discrepancy, or one whose
-listed value differs from the exact value, is a MISMATCH and fails the run.
+computed value is reported as FLAGGED; an unlisted discrepancy, one whose
+listed value differs from the exact value, and a listed entry whose claim
+holds (a stale entry) are each a MISMATCH and fail the run.
 """
 
 from __future__ import annotations
@@ -434,16 +435,19 @@ def run_checks(
             exact, spec, note = check.run(params, ctx)
             ok, good_status = _judge(exact, spec)
             formula = _render(spec[1] if len(spec) == 2 else (spec[1], spec[2]))
+            entry = find_erratum(errata, check_id, params)
+            reason = None
             if ok:
                 status = good_status
+                if entry is not None and spec[0] != "record":
+                    status, reason = MISMATCH, "errata entry is stale: the claim holds"
+            elif entry is None:
+                status, reason = MISMATCH, "unpredicted discrepancy"
+            elif entry["computed"] != exact:
+                status, reason = MISMATCH, f"errata lists computed {entry['computed']}, not {exact}"
             else:
-                entry = find_erratum(errata, check_id, params)
-                if entry is None:
-                    status, reason = MISMATCH, "unpredicted discrepancy"
-                elif entry["computed"] != exact:
-                    status, reason = MISMATCH, f"errata lists computed {entry['computed']}, not {exact}"
-                else:
-                    status, reason = FLAGGED, entry["reason"]
+                status, reason = FLAGGED, entry["reason"]
+            if reason:
                 note = (note + "; " if note else "") + reason
             results.append(CheckResult(check_id, check.claim, params, exact, formula, status, note))
     return results

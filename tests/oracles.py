@@ -54,3 +54,29 @@ def dual_words(rows, n, m=4):
 def gray_image(words):
     table = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
     return [tuple(bit for x in w for bit in table[x]) for w in words]
+
+
+def iter_exact_weight(n, elem_w, target):
+    """All vectors whose per-coordinate weights sum to target, in lex order."""
+    m = len(elem_w)
+    maxw = max(elem_w)
+    cur = [0] * n
+
+    def rec(pos, rem):
+        if pos == n:
+            if rem == 0:
+                yield tuple(cur)
+            return
+        room = maxw * (n - pos - 1)
+        for v in range(m):
+            left = rem - elem_w[v]
+            if 0 <= left <= room:
+                cur[pos] = v
+                yield from rec(pos + 1, left)
+        cur[pos] = 0
+
+    if n == 0:
+        if target == 0:
+            yield ()
+        return
+    yield from rec(0, target)

@@ -151,9 +151,9 @@ def test_criterion_03_simplex_alpha():
     if EXTENDED:
         report = covering_radius_syndrome(simplex_alpha(2), M.LEE, threads=THREADS)
         c.claim_equal(report.value, 16, "r_L(S_2^alpha) [extended]", "simplex-alpha-lee", {"k": 2})
-        c.note(f"extended k=2 run: {report.visited} vectors in {report.seconds:.0f}s")
+        c.note(f"extended k=2 run: {report.visited} DP cells in {report.seconds:.0f}s")
     else:
-        c.note("k=2 run over 4^16 vectors gated behind MODCOVER_EXTENDED=1")
+        c.note("k=2 run over 2^28 cosets gated behind MODCOVER_EXTENDED=1")
     c.finish()
 
 
@@ -293,11 +293,9 @@ def test_criterion_11_parameter_audit():
 
 
 def _min_weight_ordered(code, metric, cap):
-    from modcover.covering import _iter_exact_weight
-
     elem = [int(x) for x in metric.element_weights(code.ring)]
     for w in range(1, cap + 1):
-        for vec in _iter_exact_weight(code.n, elem, w):
+        for vec in oracles.iter_exact_weight(code.n, elem, w):
             if code.contains(vec):
                 return w
     return None

@@ -167,3 +167,16 @@ def test_verify_deterministic_across_threads():
     one = assert_ok(run_cli("verify", "dual-beta-lee", "--format", "json"))
     two = assert_ok(run_cli("verify", "dual-beta-lee", "--format", "json", "--threads", "2"))
     assert json.loads(one.stdout)["results"] == json.loads(two.stdout)["results"]
+
+
+def test_radius_rejects_huge_ring_exponent(tmp_path, monkeypatch, capsys):
+    # in-process, with the engine stubbed out, so a regression cannot allocate
+    from modcover import cli
+
+    def engine_must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran on a rejected matrix")
+
+    monkeypatch.setattr(cli, "covering_radius", engine_must_not_run)
+    (tmp_path / "huge.mat").write_text("40 1\n0\n")
+    assert cli.main(["radius", "--matrix", str(tmp_path / "huge.mat")]) == 2
+    assert "exceeds the supported maximum" in capsys.readouterr().err

@@ -1,10 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from modcover.covering import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     SearchBudget,
+    _working_set_bytes,
     bound_report,
     coset_leader_table,
     coset_weight_distribution,
@@ -19,9 +24,10 @@ from modcover.covering import (
 )
 from modcover.families import repetition_alpha, repetition_beta, simplex_alpha, simplex_beta
 from modcover.linalg import LinearCode, enumerate_codewords
-from modcover.ring import WeightMetric, Z2, Z4
+from modcover.ring import RingSpec, WeightMetric, Z2, Z4
 
 M = WeightMetric
+Z8 = RingSpec(3)
 FULL2 = LinearCode(Z4, 2, [[1, 0], [0, 1]])
 
 
@@ -102,28 +108,84 @@ def test_direct_budget_error_suggests_alternative():
 
 
 def test_syndrome_budget_errors():
+    # a budget that holds the table but not the witness pass's bit tables
+    code = repetition_alpha(4)
+    table_only = SearchBudget(table_bytes=_working_set_bytes(code, M.LEE, witness=False))
+    assert coset_leader_table(code, M.LEE, budget=table_only).complete
+    assert covering_radius_syndrome(code, M.LEE, budget=table_only, witness=False).value == 4
     with pytest.raises(BudgetExceededError):
-        covering_radius_syndrome(repetition_alpha(4), M.LEE, budget=SearchBudget(visit=10))
+        covering_radius_syndrome(code, M.LEE, budget=table_only)
     with pytest.raises(BudgetExceededError):
-        covering_radius_syndrome(repetition_alpha(6), M.LEE, budget=SearchBudget(table_entries=10))
+        covering_radius_syndrome(repetition_alpha(6), M.LEE, budget=SearchBudget(table_bytes=10))
+
+
+def test_table_bytes_budget_raises_before_allocating():
+    code = repetition_alpha(10)  # 2^18 cosets: 512 KiB of weight tables
+    small = SearchBudget(table_bytes=1 << 16)
+    tracemalloc.start()
+    try:
+        for call in (
+            lambda: coset_leader_table(code, M.LEE, budget=small),
+            lambda: covering_radius_syndrome(code, M.EUCLIDEAN, budget=small),
+            lambda: covering_radius_bfs(code, M.LEE, 20, budget=small),
+        ):
+            with pytest.raises(BudgetExceededError, match="bytes"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_auto_falls_back_to_direct_when_table_bytes_do_not_fit():
+    code = repetition_alpha(6)
+    report = covering_radius(code, M.LEE, budget=SearchBudget(table_bytes=1 << 10))
+    assert report.method == "direct"
+    exact = covering_radius_syndrome(code, M.LEE)
+    assert report.value == exact.value == 6
+    assert report.witness == exact.witness
+
+
+def test_default_budget_fits_simplex_alpha_2_by_arithmetic():
+    code = simplex_alpha(2)  # n = 16, 2^28 cosets
+    assert code.ring.s * code.n - code.two_dimension == 28
+    for metric in M:
+        assert _working_set_bytes(code, metric, witness=True) <= DEFAULT_BUDGET.table_bytes
 
 
 def test_auto_dispatch_degrades_to_bounds():
     # an infeasible instance still yields a sound interval, never a wrong exact
     code = LinearCode(Z4, 14, [[1] * 14])
-    tiny = SearchBudget(direct_evals=10, visit=10, table_entries=10, bfs_visit=10)
+    tiny = SearchBudget(direct_evals=10, table_bytes=10)
     report = covering_radius(code, M.LEE, budget=tiny)
     assert not report.exact
     assert report.method == "bound_only"
     assert report.lo == sphere_covering_lower_bound(14, 4, 2)
 
 
-def test_auto_uses_bfs_for_large_ambient_small_cosets():
-    dual = simplex_alpha(2).dual()  # length 16: too big to stream, 16 cosets
-    budget = SearchBudget(visit=1 << 20, direct_evals=1 << 20)
+def test_bound_only_interval_contains_the_radius_in_every_metric():
+    # the sphere and Delsarte bounds are in homogeneous units: the zero code of
+    # length 1 has Hamming radius 1 (sphere bound 2) and Euclidean radius 4
+    # (Delsarte bound 2), so each bound is kept only where it holds
+    tiny = SearchBudget(direct_evals=1, table_bytes=1)
+    for ring, n in ((Z2, 3), (Z4, 1), (Z4, 2), (Z8, 1), (Z8, 2)):
+        code = LinearCode(ring, n, [])
+        for metric in M:
+            if metric is M.LEE and ring.s > 2:
+                continue
+            report = covering_radius(code, metric, budget=tiny)
+            assert report.method == "bound_only"
+            exact = covering_radius_syndrome(code, metric).value
+            assert report.lo <= exact and (report.hi is None or exact <= report.hi), (ring, n, metric)
+
+
+def test_auto_uses_dp_for_large_ambient_small_cosets():
+    dual = simplex_alpha(2).dual()  # length 16: 4^16 ambient vectors, 16 cosets
+    budget = SearchBudget(direct_evals=1 << 20)
     report = covering_radius(dual, M.LEE, budget=budget)
     assert report.exact and report.value == 1
-    assert report.method == "weight_bfs"
+    assert report.method == "syndrome_table"
+    assert report.witness == (0,) * 15 + (1,)
 
 
 def test_monotonicity_adding_rows():
@@ -181,15 +243,58 @@ def test_coset_weight_distribution_examples():
 
 
 def test_coset_leader_table_leaders():
-    code = repetition_alpha(2)
-    table = coset_leader_table(code, M.LEE, with_leaders=True)
-    assert table.complete
-    # every leader attains its recorded weight and leaders cover all cosets
-    wt = M.LEE.element_weights(Z4).astype(np.int64)
-    for key in range(len(table.weights)):
-        leader = table.leaders[key]
-        assert int(wt[leader].sum()) == int(table.weights[key])
-        assert table.syndromes.keys_of(leader[None, :])[0] == key
+    # every coset's minimum weight is the brute-force distance from any of its
+    # vectors to the code, and the table has one entry per coset
+    for code in (repetition_alpha(2), simplex_beta(2), LinearCode(Z4, 3, [[2, 0, 2]])):
+        words = oracles.span(code.rows.tolist(), code.n)
+        for metric in M:
+            table = coset_leader_table(code, metric)
+            assert table.complete
+            assert len(table.weights) == 4**code.n // len(words)
+            wt = oracles.TABLES[metric.value]
+            for x in itertools.product(range(4), repeat=code.n):
+                want = min(oracles.vec_weight(tuple((a - b) % 4 for a, b in zip(x, c)), wt) for c in words)
+                assert table.weight_of_coset(x) == want
+
+
+def _random_ring_code(rng, s):
+    ring = RingSpec(s)
+    n = int(rng.integers(1, {1: 8, 2: 5, 3: 4}[s] + 1))
+    rows = rng.integers(0, ring.modulus, size=(int(rng.integers(0, 3)), n))
+    return LinearCode(ring, n, rows)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_engines_match_brute_force_over_z2_z4_z8(seed):
+    # value and lexicographically first deep hole, for every valid metric
+    s = seed % 3 + 1
+    rng = np.random.default_rng([s, seed])
+    code = _random_ring_code(rng, s)
+    words = enumerate_codewords(code).words
+    for metric in M:
+        if metric is M.LEE and s > 2:
+            continue
+        brute = covering_radius_of_set(words, code.ring, metric)
+        cap = int(metric.element_weights(code.ring).max()) * code.n
+        auto = covering_radius(code, metric)
+        assert auto.method == "syndrome_table"
+        for report in (auto, covering_radius_syndrome(code, metric), covering_radius_bfs(code, metric, cap)):
+            assert (report.value, report.witness) == (brute.value, brute.witness), (code.rows, metric)
+        if brute.value:
+            capped = covering_radius_bfs(code, metric, brute.value - 1)
+            assert (capped.lo, capped.hi, capped.value) == (brute.value, None, None)
+
+
+def test_bounds_hold_over_z8():
+    rng = np.random.default_rng(8)
+    assert sphere_covering_lower_bound(1, 8, 3) == 0  # the full space Z8^1
+    assert delsarte_bound(LinearCode(Z8, 2, [])) is None  # its radius is 8
+    for _ in range(20):
+        code = _random_ring_code(rng, 3)
+        exact = covering_radius_of_set(enumerate_codewords(code).words, Z8, M.HOMOGENEOUS).value
+        report = bound_report(code)
+        assert report.sphere_covering_lb <= exact
+        assert report.delsarte_ub is None
 
 
 def test_gray_transport_small():

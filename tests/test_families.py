@@ -108,11 +108,9 @@ def test_simplex_beta_duals():
 
 
 def _min_lee_weight_by_ordered_search(code):
-    from modcover.covering import _iter_exact_weight
-
     elem = [int(x) for x in WeightMetric.LEE.element_weights(code.ring)]
     for w in range(1, 2 * code.n + 1):
-        for vec in _iter_exact_weight(code.n, elem, w):
+        for vec in oracles.iter_exact_weight(code.n, elem, w):
             if code.contains(vec):
                 return w
     return None

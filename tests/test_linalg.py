@@ -183,3 +183,10 @@ def test_generator_file_rejects_malformed(bad):
 def test_rows_out_of_range_rejected():
     with pytest.raises(ValueError):
         LinearCode(Z4, 2, [[4, 0]])
+
+
+def test_generator_file_rejects_huge_ring_exponent():
+    # rejected from the header alone, before any 2^s table exists
+    with pytest.raises(ValueError, match="exceeds the supported maximum 16"):
+        parse_generator_file("40 1\n0\n")
+    assert parse_generator_file("16 1\n0\n").ring == RingSpec(16)

@@ -108,3 +108,20 @@ def test_listed_discrepancy_with_wrong_computed_is_mismatch(monkeypatch):
     results = verify.run_checks(["simplex-alpha-lee"])
     assert results[0].status == MISMATCH
     assert has_mismatch(results)
+
+
+def test_stale_errata_entry_is_mismatch(monkeypatch, capsys):
+    # r_L(C_alpha) = n holds at n = 2, so an entry listing it is stale
+    import modcover.verify as verify
+    from modcover import cli
+
+    errata = load_errata() + [
+        {"check": "rep-lee-alpha", "params": {"n": 2}, "computed": 2, "reason": "injected"}
+    ]
+    monkeypatch.setattr(verify, "load_errata", lambda: errata)
+    results = verify.run_checks(["rep-lee-alpha"])
+    stale = [r for r in results if r.params == {"n": 2}][0]
+    assert stale.status == MISMATCH and "errata entry is stale" in stale.note
+    assert [r.status for r in results if r.params != {"n": 2}] == [MATCH] * 5
+    assert cli.main(["verify", "rep-lee-alpha"]) == 1
+    assert "errata entry is stale" in capsys.readouterr().out
