@@ -108,7 +108,7 @@ def _digits_of_range(start: int, stop: int, n: int, s: int) -> np.ndarray:
     """Vectors with lexicographic indices [start, stop) as base-2^s digit rows."""
     idx = np.arange(start, stop, dtype=np.int64)
     shifts = (s * (n - 1 - np.arange(n, dtype=np.int64)))[None, :]
-    return ((idx[:, None] >> shifts) & ((1 << s) - 1)).astype(np.uint8)
+    return ((idx[:, None] >> shifts) & ((1 << s) - 1)).astype(np.min_scalar_type((1 << s) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +140,10 @@ class _SyndromeMap:
         self.n_cosets = 1 << self.total_bits
         self.top = sum(1 << (int(sh) + b - 1) for sh, b in zip(self.shifts, bits))
         self.low = (self.n_cosets - 1) ^ self.top
-        syn = np.arange(1 << self.s)[None, :, None] * self.units.T[:, None, :]
-        self.columns = ((syn & self.masks) << self.shifts).sum(axis=-1)
+        digits = np.arange(1 << self.s, dtype=np.int64)
+        self.columns = np.zeros((self.n, 1 << self.s), dtype=np.int64)
+        for unit, mask, shift in zip(self.units, self.masks, self.shifts):
+            self.columns += ((unit[:, None] * digits) & mask) << shift
         self.block = min(max(8, _BLOCK >> self.s), self.n_cosets)
         first = np.arange(self.block, dtype=np.int64)
         self._first = (first & self.low, first & self.top)
@@ -171,7 +173,10 @@ class _SyndromeMap:
 
 
 def _min_weight_dtype(max_weight: int):
-    return np.uint8 if max_weight < 0xFF else (np.uint16 if max_weight < 0xFFFF else np.uint32)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if max_weight <= np.iinfo(dtype).max:
+            return dtype
+    raise BudgetExceededError(f"coset weights up to {max_weight} do not fit a 64-bit table")
 
 
 def _table_dtype(n: int, wtable: np.ndarray):
@@ -185,14 +190,15 @@ def _table_dtype(n: int, wtable: np.ndarray):
 def _working_set_bytes(code: LinearCode, metric: WeightMetric, witness: bool) -> int:
     """Peak bytes of the coset DP, by arithmetic on the code's parameters.
 
-    Two weight tables and the block buffers; with the witness pass, at most
-    min(n, key bits) + 2 bit tables and one byte per coset (see
-    ``_lex_first_deep_hole``).
+    Two weight tables, the block buffers and the n x 2^s column keys with two
+    temporaries; with the witness pass, at most min(n, key bits) + 2 bit
+    tables and one byte per coset (see ``_lex_first_deep_hole``).
     """
     bits = code.ring.s * code.n - code.two_dimension
     cosets = 1 << bits
     dtype, _ = _table_dtype(code.n, metric.element_weights(code.ring))
     need = 2 * cosets * np.dtype(dtype).itemsize + max(_BLOCK, 8 << code.ring.s) * _BLOCK_BYTES
+    need += 3 * 8 * code.n << code.ring.s
     if witness:
         need += (min(code.n, bits) + 2) * ((cosets + 7) // 8) + cosets
     return need
@@ -208,7 +214,7 @@ def _check_table_bytes(code: LinearCode, metric: WeightMetric, budget: SearchBud
 
 @dataclass
 class CosetLeaderTable:
-    """Minimum coset weights keyed by packed syndrome; complete by construction.
+    """Minimum weight of every coset, keyed by packed syndrome.
 
     ``visited`` counts the DP's cell updates, n * (2^s - 1) * #cosets.
     """
@@ -217,15 +223,17 @@ class CosetLeaderTable:
     metric: WeightMetric
     syndromes: _SyndromeMap
     weights: np.ndarray
-    complete: bool
     visited: int
 
     def weight_of_coset(self, coords: Sequence[int]) -> int:
         return int(self.weights[self.syndromes.key_of(coords)])
 
     def distribution(self) -> dict[int, int]:
-        counts = np.bincount(self.weights)
-        return {int(w): int(c) for w, c in enumerate(counts) if c}
+        if self.weights.dtype.itemsize <= 2:  # weights below 2^16: count by value
+            counts = np.bincount(self.weights)
+            return {int(w): int(c) for w, c in enumerate(counts) if c}
+        values, counts = np.unique(self.weights, return_counts=True)
+        return {int(w): int(c) for w, c in zip(values, counts)}
 
 
 def coset_leader_table(
@@ -263,11 +271,7 @@ def coset_leader_table(
         table, nxt = nxt, table
     if int(table.max()) >= unreached:
         raise AssertionError("incomplete coset table: some coset was never reached")
-    return CosetLeaderTable(code, metric, smap, table, True, smap.n * (m - 1) * smap.n_cosets)
-
-
-def _popcount(bits: np.ndarray) -> int:
-    return int(np.bitwise_count(bits).sum())
+    return CosetLeaderTable(code, metric, smap, table, smap.n * (m - 1) * smap.n_cosets)
 
 
 def _lex_first_deep_hole(table: CosetLeaderTable, radius: int) -> tuple[int, ...]:
@@ -285,11 +289,13 @@ def _lex_first_deep_hole(table: CosetLeaderTable, radius: int) -> tuple[int, ...
     smap = table.syndromes
     n, size = smap.n, smap.n_cosets
     target = np.empty((size + 7) // 8, dtype=np.uint8)
+    filled = 0  # marked keys in the latest table
     for lo in range(0, size, smap.block):
         hi = min(lo + smap.block, size)
-        target[lo >> 3 : (hi + 7) >> 3] = np.packbits(table.weights[lo:hi] == radius, bitorder="little")
+        hit = table.weights[lo:hi] == radius
+        filled += int(np.count_nonzero(hit))
+        target[lo >> 3 : (hi + 7) >> 3] = np.packbits(hit, bitorder="little")
     reach = [target] * (n + 1)
-    filled = _popcount(target)
     for j in range(n - 1, 0, -1):
         prev = reach[j + 1]
         if filled == size:  # so is every earlier table
@@ -298,17 +304,18 @@ def _lex_first_deep_hole(table: CosetLeaderTable, radius: int) -> tuple[int, ...
         plus = smap.columns[j, 1:][:, None]  # keys of a * e_j
         marked = np.unpackbits(prev, count=size, bitorder="little").view(bool)
         cur = np.empty_like(prev)
+        count = 0
         for lo, low, top in smap.blocks():
             hi = lo + len(low)
             hit = marked[smap.add(low, top, plus)].any(axis=0)
             hit |= marked[lo:hi]
+            count += int(np.count_nonzero(hit))
             cur[lo >> 3 : (hi + 7) >> 3] = np.packbits(hit, bitorder="little")
-        count = _popcount(cur)
         reach[j] = prev if count == filled else cur
         filled = count
-    key, out, columns = 0, [], smap.columns.tolist()
+    key, out = 0, []
     for j in range(n):
-        marks, col = reach[j + 1], columns[j]
+        marks, col = reach[j + 1], smap.columns[j].tolist()
         for a in range(len(col)):
             k = smap.add(key & smap.low, key & smap.top, col[a])
             if (int(marks[k >> 3]) >> (k & 7)) & 1:
@@ -386,7 +393,7 @@ def covering_radius_of_set(
     with the lexicographically first deep hole.  ``threads`` is accepted for
     compatibility and unused."""
     metric.check_ring(ring)
-    words = np.asarray(words, dtype=np.uint8)
+    words = np.asarray(words, dtype=np.min_scalar_type(ring.modulus - 1))
     if words.ndim != 2 or not len(words):
         raise ValueError("need a non-empty 2d array of words")
     n = words.shape[1]
@@ -397,13 +404,15 @@ def covering_radius_of_set(
             f"{total} x {len(words)} distance evaluations exceed the budget "
             f"{budget.direct_evals}; the syndrome engine may still fit"
         )
-    wtable = metric.element_weights(ring).astype(np.int32)
+    wtable = metric.element_weights(ring)
+    acc = np.int32 if n * int(wtable.max()) < 1 << 31 else np.int64  # distance sums must not wrap
+    wtable = wtable.astype(acc)
     t0 = time.perf_counter()
     best, best_idx = -1, -1
     for lo in range(0, total, _DIRECT_CHUNK):
         digits = _digits_of_range(lo, min(lo + _DIRECT_CHUNK, total), n, s)
         diffs = (digits[:, None, :] - words[None, :, :]) & ((1 << s) - 1)
-        dmin = wtable[diffs].sum(axis=2, dtype=np.int32).min(axis=1)
+        dmin = wtable[diffs].sum(axis=2, dtype=acc).min(axis=1)
         local = int(dmin.max())
         if local > best:
             best, best_idx = local, lo + int(np.argmax(dmin))

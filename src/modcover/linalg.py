@@ -193,7 +193,7 @@ def enumerate_codewords(code: LinearCode, budget_k: int = DEFAULT_ENUM_BUDGET_K)
     basis = two_basis(code)
     m = code.ring.modulus
     total = 1 << k
-    words = np.zeros((total, code.n), dtype=np.uint8)
+    words = np.zeros((total, code.n), dtype=np.min_scalar_type(m - 1))
     chunk = 1 << 16
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)

@@ -23,7 +23,7 @@ from modcover.covering import (
     sphere_covering_lower_bound,
 )
 from modcover.families import repetition_alpha, repetition_beta, simplex_alpha, simplex_beta
-from modcover.linalg import LinearCode, enumerate_codewords
+from modcover.linalg import LinearCode, enumerate_codewords, parse_generator_file
 from modcover.ring import RingSpec, WeightMetric, Z2, Z4
 
 M = WeightMetric
@@ -111,7 +111,7 @@ def test_syndrome_budget_errors():
     # a budget that holds the table but not the witness pass's bit tables
     code = repetition_alpha(4)
     table_only = SearchBudget(table_bytes=_working_set_bytes(code, M.LEE, witness=False))
-    assert coset_leader_table(code, M.LEE, budget=table_only).complete
+    assert coset_leader_table(code, M.LEE, budget=table_only).weights.max() == 4
     assert covering_radius_syndrome(code, M.LEE, budget=table_only, witness=False).value == 4
     with pytest.raises(BudgetExceededError):
         covering_radius_syndrome(code, M.LEE, budget=table_only)
@@ -249,7 +249,6 @@ def test_coset_leader_table_leaders():
         words = oracles.span(code.rows.tolist(), code.n)
         for metric in M:
             table = coset_leader_table(code, metric)
-            assert table.complete
             assert len(table.weights) == 4**code.n // len(words)
             wt = oracles.TABLES[metric.value]
             for x in itertools.product(range(4), repeat=code.n):
@@ -283,6 +282,45 @@ def test_engines_match_brute_force_over_z2_z4_z8(seed):
         if brute.value:
             capped = covering_radius_bfs(code, metric, brute.value - 1)
             assert (capped.lo, capped.hi, capped.value) == (brute.value, None, None)
+
+
+def test_working_set_arithmetic_covers_a_wide_ring():
+    # over Z_65536 the n x 2^s column keys outweigh the tables of this code's
+    # 64 cosets (x_i mod 2); the arithmetic must still cover every allocation
+    code = LinearCode(RingSpec(16), 6, 2 * np.eye(6, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        report = covering_radius_syndrome(code, M.EUCLIDEAN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.value, report.witness) == (6, (1,) * 6)
+    assert peak <= _working_set_bytes(code, M.EUCLIDEAN, witness=True)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_euclidean_table_over_z65536_does_not_wrap(n):
+    # The Euclidean weight of 2^15 is 2^30, so a coset not yet reached holds
+    # n * 2^30 + 1 and the table needs 64-bit cells from n = 3 on.  The code
+    # e_1, ..., e_(n-1), 4 e_n has four cosets, x_n mod 4, of minima 0, 1, 4, 1.
+    rows = [" ".join("1" if j == i else "0" for j in range(n)) for i in range(n - 1)]
+    code = parse_generator_file("\n".join([f"16 {n}", *rows, " ".join(["0"] * (n - 1) + ["4"])]))
+    hole = (0,) * (n - 1) + (2,)
+    for method in ("auto", "syndrome", "bfs"):
+        report = covering_radius(code, M.EUCLIDEAN, method)
+        assert (report.method, report.value, report.witness) == ("syndrome_table", 4, hole), method
+    capped = covering_radius(code, M.EUCLIDEAN, "bfs", r_cap=3)
+    assert (capped.lo, capped.hi, capped.value) == (4, None, None)
+    assert coset_weight_distribution(code, M.EUCLIDEAN) == {0: 1, 1: 2, 4: 1}
+
+
+def test_direct_scan_over_z512_keeps_every_digit():
+    # digits and words of Z_512 do not fit a byte; reduced mod 256, the vector
+    # 256 would read as 0 and the Euclidean radius of the span of 256 as 255^2
+    code = LinearCode(RingSpec(9), 1, [[256]])
+    direct = covering_radius_direct(code, M.EUCLIDEAN)
+    assert (direct.value, direct.witness) == (128**2, (128,))
+    assert covering_radius_syndrome(code, M.EUCLIDEAN).value == 128**2
 
 
 def test_bounds_hold_over_z8():
