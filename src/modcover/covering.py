@@ -21,7 +21,6 @@ wrong exact value.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -448,11 +447,12 @@ def sphere_covering_lower_bound(n: int, code_size: int, s: int) -> int:
         raise ValueError("need n >= 1 and a positive code size")
     big_n = (1 << (s - 1)) * n
     need = 1 << (s * n)
-    acc = 0
+    acc, term = 0, 1  # term = C(big_n, r), updated exactly
     for r in range(big_n + 1):
-        acc += math.comb(big_n, r)
+        acc += term
         if acc * code_size >= need:
             return r
+        term = term * (big_n - r) // (r + 1)
     return big_n
 
 

@@ -11,6 +11,7 @@ from .ring import BudgetExceededError, RingSpec, Z2, ZqVector
 
 DEFAULT_ENUM_BUDGET_K = 26
 MAX_RING_EXPONENT = 16  # per-element weight tables hold 2^s entries
+MAX_LENGTH = 4096  # an n x n int64 dual generator array of this length is 128 MiB
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,9 @@ class LinearCode:
     """A linear code over Z_{2^s}, held as a generator matrix.
 
     The standard form is computed eagerly at construction and the value is
-    immutable afterwards, so instances can be shared freely between workers.
+    immutable afterwards.  A dual built by ``dual_code`` takes its standard
+    form from the triangular solve that produced its generators, so it is not
+    reduced a second time.
     """
 
     def __init__(self, ring: RingSpec, length: int, rows: Iterable[Sequence[int]] | np.ndarray):
@@ -95,9 +98,21 @@ class LinearCode:
             raise ValueError(f"generator rows must have length {self.n}")
         if np.any(rows < 0) or np.any(rows >= ring.modulus):
             raise ValueError(f"generator entries out of range for Z_{ring.modulus}")
+        self._set(rows, standard_form(rows, ring.s))
+
+    @classmethod
+    def _with_standard_form(cls, ring: RingSpec, rows: np.ndarray, std: StandardForm) -> "LinearCode":
+        """A code whose generators and standard form the caller has already built."""
+        code = cls.__new__(cls)
+        code.ring = ring
+        code.n = rows.shape[1]
+        code._set(rows, std)
+        return code
+
+    def _set(self, rows: np.ndarray, std: StandardForm) -> None:
         self.rows = rows
         self.rows.setflags(write=False)
-        self._std = standard_form(rows, ring.s)
+        self._std = std
         self._std.matrix.setflags(write=False)
         self._dual: LinearCode | None = None
         self.family_info = None
@@ -206,10 +221,21 @@ def dual_code(code: LinearCode) -> LinearCode:
     """The dual code under the standard inner product mod 2^s.
 
     Solves the triangular orthogonality system of the standard form from the
-    bottom up: one generator per free column, plus one torsion generator
-    2^(s-v) * e_i per level-v pivot row with v >= 1.  The construction is
-    validated on the spot: every generator must be orthogonal to every row of
-    the input, and the 2-dimensions must add up to s*n.
+    bottom up, all generators at once: one per free column f (e_f plus
+    entries on the pivot columns), plus one torsion generator per level-v
+    pivot i with v >= 1 (2^(s-v) * e_i plus entries on columns < i, all
+    multiples of 2^(s-v)).  Every entry on pivot column i' is reduced mod
+    2^(s-v_i'), so these generators already are the dual's standard form:
+    rows [free, torsion by descending i] and columns [free, torsion pivots by
+    descending i, level-0 pivots] of the code's permuted coordinates, levels
+    (0, ..., 0, s-v_i, ...).  The dual takes that form without a second
+    reduction.  ``dual.rows`` holds the free generators, then the torsion
+    ones by ascending i, in the original column order.
+
+    The construction is validated on the spot: every generator must be
+    orthogonal to every row of the input, the 2-dimensions must add up to
+    s*n, and the form must be triangular with pivots 2^level and every entry
+    above a pivot below it.
     """
     s = code.ring.s
     m = code.ring.modulus
@@ -217,37 +243,51 @@ def dual_code(code: LinearCode) -> LinearCode:
     std = code.std
     levels = std.levels
     K = len(levels)
-    units = std.matrix >> np.array(levels, dtype=np.int64).reshape(-1, 1) if K else np.zeros((0, n), dtype=np.int64)
-    res_mods = [1 << (s - v) for v in levels]
+    k0 = std.block_sizes[0]  # levels are nondecreasing, so pivots k0..K-1 are the torsion ones
+    nfree = n - K
+    cols = [*range(K, n), *range(K - 1, k0 - 1, -1), *range(k0)]
+    dual_levels = (0,) * nfree + tuple(s - v for v in reversed(levels[k0:]))
+    R = len(dual_levels)
 
-    def back_substitute(x: np.ndarray, top_row: int) -> None:
-        for i in range(top_row, -1, -1):
-            acc = int(units[i, i + 1 :] @ x[i + 1 :])
-            x[i] = (-acc) % res_mods[i]
+    # Generators in the dual's own row and column order, starting from their
+    # pivots; the solve fills in the code's pivot columns, the last first.
+    # The full-row product is safe: the code's row i is zero left of pivot i,
+    # and pivot i's own torsion entry 2^(s-v_i) adds 0 mod 2^(s-v_i).
+    gens = np.zeros((R, n), dtype=np.int64)
+    gens[range(R), range(R)] = [1 << v for v in dual_levels]
+    neg_units = -(std.matrix >> np.array(levels, dtype=np.int64).reshape(-1, 1))[:, cols]
+    where = {c: j for j, c in enumerate(cols)}
+    for i in range(K - 1, -1, -1):
+        gens[:, where[i]] += (gens @ neg_units[i]) % (1 << (s - levels[i]))
 
-    gens = []
-    for f in range(K, n):
-        x = np.zeros(n, dtype=np.int64)
-        x[f] = 1
-        back_substitute(x, K - 1)
-        gens.append(x)
-    for i in range(K):
-        if levels[i] >= 1:
-            x = np.zeros(n, dtype=np.int64)
-            x[i] = 1 << (s - levels[i])
-            back_substitute(x, i - 1)
-            gens.append(x)
-
-    unpermuted = np.zeros((len(gens), n), dtype=np.int64)
-    if gens:
-        unpermuted[:, list(std.perm)] = np.array(gens, dtype=np.int64)
-    dual = LinearCode(code.ring, n, unpermuted)
+    perm = tuple(std.perm[c] for c in cols)
+    dual_std = StandardForm(gens, perm, tuple(dual_levels.count(v) for v in range(s)), dual_levels)
+    rows = np.zeros_like(gens)  # free generators, then torsion ones by ascending pivot
+    rows[np.ix_([*range(nfree), *range(R - 1, nfree - 1, -1)], perm)] = gens
+    _check_triangular(dual_std)
+    dual = LinearCode._with_standard_form(code.ring, rows, dual_std)
     if len(code.rows) and len(dual.rows) and np.any((dual.rows @ code.rows.T) % m):
         raise AssertionError("dual construction produced a non-orthogonal generator")
     if dual.two_dimension + code.two_dimension != s * n:
         raise AssertionError("dual 2-dimension does not complement the code")
     dual._dual = code
     return dual
+
+
+def _check_triangular(std: StandardForm) -> None:
+    """Raise unless the levels are nondecreasing, row r is a multiple of
+    2^level_r, pivot j is 2^level_j and every other entry of pivot column j
+    lies in [0, 2^level_j).  Together these also put zeros below the pivots."""
+    scale = 1 << np.array(std.levels, dtype=np.int64)
+    pivots = std.matrix[:, : len(scale)]
+    if (
+        list(std.levels) != sorted(std.levels)
+        or not np.array_equal(np.diagonal(pivots), scale)
+        or np.any(pivots < 0)
+        or np.count_nonzero(pivots >= scale) != len(scale)
+        or np.any(std.matrix % scale[:, None])
+    ):
+        raise AssertionError("dual standard form is not triangular")
 
 
 def residue_code(code: LinearCode) -> LinearCode:
@@ -283,7 +323,11 @@ def format_generator_file(code: LinearCode) -> str:
 
 
 def parse_generator_file(text: str) -> LinearCode:
-    """Parse the generator matrix text format, rejecting malformed input."""
+    """Parse the generator matrix text format, rejecting malformed input.
+
+    The header alone rejects ``s > MAX_RING_EXPONENT`` and ``n > MAX_LENGTH``,
+    and more than ``MAX_LENGTH`` rows are rejected before any is parsed, so a
+    hostile file fails before a 2^s table or an n x n dual is allocated."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty generator file")
@@ -296,6 +340,10 @@ def parse_generator_file(text: str) -> LinearCode:
         raise ValueError(f"malformed header {lines[0]!r}; expected integers") from None
     if s > MAX_RING_EXPONENT:
         raise ValueError(f"ring exponent {s} exceeds the supported maximum {MAX_RING_EXPONENT}")
+    if not 0 <= n <= MAX_LENGTH:
+        raise ValueError(f"length {n} outside the supported range 0..{MAX_LENGTH}")
+    if len(lines) - 1 > MAX_LENGTH:
+        raise ValueError(f"{len(lines) - 1} rows exceed the supported maximum {MAX_LENGTH}")
     ring = RingSpec(s)
     rows = []
     for ln in lines[1:]:

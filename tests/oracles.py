@@ -6,12 +6,27 @@ touches the package's engines, so agreement between the two is meaningful.
 
 import itertools
 
-HAMMING = {0: 0, 1: 1, 2: 1, 3: 1}
-LEE = {0: 0, 1: 1, 2: 2, 3: 1}
-EUCLIDEAN = {0: 0, 1: 1, 2: 4, 3: 1}
-BINARY = {0: 0, 1: 1}
 
-TABLES = {"hamming": HAMMING, "lee": LEE, "homogeneous": LEE, "euclidean": EUCLIDEAN}
+def weights(metric, m=4):
+    """Per-element weight table of Z_m, m = 2^s, for a metric named as in the package."""
+    lee = {x: min(x, m - x) for x in range(m)}
+    if metric == "hamming":
+        return {x: int(x != 0) for x in range(m)}
+    if metric == "lee":
+        return lee
+    if metric == "euclidean":
+        return {x: w * w for x, w in lee.items()}
+    if metric == "homogeneous":
+        return {x: 0 if x == 0 else m // 2 if 2 * x == m else m // 4 for x in range(m)}
+    raise ValueError(metric)
+
+
+HAMMING = weights("hamming")
+LEE = weights("lee")
+EUCLIDEAN = weights("euclidean")
+BINARY = weights("hamming", 2)
+
+TABLES = {name: weights(name) for name in ("hamming", "lee", "homogeneous", "euclidean")}
 
 
 def span(rows, n, m=4):

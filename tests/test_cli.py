@@ -180,3 +180,24 @@ def test_radius_rejects_huge_ring_exponent(tmp_path, monkeypatch, capsys):
     (tmp_path / "huge.mat").write_text("40 1\n0\n")
     assert cli.main(["radius", "--matrix", str(tmp_path / "huge.mat")]) == 2
     assert "exceeds the supported maximum" in capsys.readouterr().err
+
+
+def test_radius_rejects_huge_length_before_allocating(tmp_path, monkeypatch, capsys):
+    import tracemalloc
+
+    from modcover import cli
+
+    def engine_must_not_run(*args, **kwargs):
+        raise AssertionError("the engine ran on a rejected matrix")
+
+    monkeypatch.setattr(cli, "covering_radius", engine_must_not_run)
+    (tmp_path / "long.mat").write_text("2 100000000\n")
+    tracemalloc.start()
+    try:
+        code = cli.main(["radius", "--matrix", str(tmp_path / "long.mat")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "outside the supported range" in capsys.readouterr().err
+    assert peak < 1 << 20

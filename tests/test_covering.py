@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -209,6 +210,18 @@ def test_sphere_covering_examples():
         sphere_covering_lower_bound(0, 1, 2)
 
 
+def test_sphere_covering_matches_binomial_sums():
+    # reference: each ball volume summed from math.comb
+    def reference(n, size, s):
+        big_n, need = (1 << (s - 1)) * n, 1 << (s * n)
+        return next(r for r in range(big_n + 1) if size * sum(math.comb(big_n, i) for i in range(r + 1)) >= need)
+
+    for s in (1, 2, 3, 4):
+        for n in range(1, 13):
+            for k in range(0, s * n + 1, 2):
+                assert sphere_covering_lower_bound(n, 1 << k, s) == reference(n, 1 << k, s), (n, k, s)
+
+
 def test_delsarte_examples():
     assert delsarte_bound(simplex_alpha(1).dual()) == 1
     assert delsarte_bound(simplex_alpha(2).dual()) == 1
@@ -269,11 +282,14 @@ def test_engines_match_brute_force_over_z2_z4_z8(seed):
     s = seed % 3 + 1
     rng = np.random.default_rng([s, seed])
     code = _random_ring_code(rng, s)
-    words = enumerate_codewords(code).words
+    m = code.ring.modulus
+    words = oracles.span(code.rows.tolist(), code.n, m)
     for metric in M:
         if metric is M.LEE and s > 2:
             continue
-        brute = covering_radius_of_set(words, code.ring, metric)
+        brute = covering_radius_of_set(np.array(words), code.ring, metric)
+        want = oracles.covering_radius(words, code.n, oracles.weights(metric.value, m), m)
+        assert (brute.value, brute.witness) == want, (code.rows, metric)
         cap = int(metric.element_weights(code.ring).max()) * code.n
         auto = covering_radius(code, metric)
         assert auto.method == "syndrome_table"

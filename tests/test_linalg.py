@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,3 +191,73 @@ def test_generator_file_rejects_huge_ring_exponent():
     with pytest.raises(ValueError, match="exceeds the supported maximum 16"):
         parse_generator_file("40 1\n0\n")
     assert parse_generator_file("16 1\n0\n").ring == RingSpec(16)
+
+
+def _dual_form_cases():
+    rng = np.random.default_rng(400)
+    for s in (1, 2, 3, 4):
+        ring = RingSpec(s)
+        yield LinearCode(ring, 3, [])
+        yield LinearCode(ring, 3, [[0, 0, 0]])
+        yield LinearCode(ring, 3, np.eye(3, dtype=np.int64))
+        yield LinearCode(ring, 2, [[1 << (s - 1), 0], [0, 1]])
+        for _ in range(3):  # one row per level: torsion pivots of every level
+            rows = [rng.integers(0, ring.modulus, size=s + 1) << v & (ring.modulus - 1) for v in range(s)]
+            yield LinearCode(ring, s + 1, rows)
+        for _ in range(10):
+            n = int(rng.integers(1, 6 if s <= 2 else 5))  # at most 2^16 dual words
+            rows = rng.integers(0, ring.modulus, size=(int(rng.integers(1, 5)), n))
+            yield LinearCode(ring, n, rows << int(rng.integers(0, s)) & (ring.modulus - 1))
+
+
+def _dual_rows_one_by_one(code):
+    """Reference: back-substitute each dual generator on its own, free ones
+    first, then torsion ones by ascending pivot, in the original columns."""
+    s, n, std = code.ring.s, code.n, code.std
+    K = len(std.levels)
+    units = [[int(x) >> v for x in row] for row, v in zip(std.matrix, std.levels)]
+
+    def solve(x, top):
+        for i in range(top, -1, -1):
+            acc = sum(units[i][j] * x[j] for j in range(i + 1, n))
+            x[i] = -acc % (1 << (s - std.levels[i]))
+        return x
+
+    gens = [solve([int(j == f) for j in range(n)], K - 1) for f in range(K, n)]
+    for i, v in enumerate(std.levels):
+        if v:
+            gens.append(solve([(1 << (s - v)) * (j == i) for j in range(n)], i - 1))
+    out = [[0] * n for _ in gens]
+    for g, row in zip(gens, out):
+        for j, p in enumerate(std.perm):
+            row[p] = g[j]
+    return out
+
+
+@pytest.mark.parametrize("code", list(_dual_form_cases()))
+def test_dual_standard_form_comes_from_the_solve(code):
+    # the dual's form is built without reducing its rows; reducing it again
+    # must change nothing, and it must describe the same code as its rows
+    s = code.ring.s
+    dual = dual_code(code)
+    again = standard_form(dual.std.matrix, s)
+    assert np.array_equal(again.matrix, dual.std.matrix)
+    assert again.perm == tuple(range(code.n))
+    assert again.levels == dual.std.levels
+    assert dual.std.block_sizes == standard_form(dual.rows, s).block_sizes
+    assert dual.rows.tolist() == _dual_rows_one_by_one(code)
+    assert words_of(dual) == words_of(LinearCode(code.ring, code.n, dual.rows))
+    assert code.dual().dual() is code
+
+
+@pytest.mark.parametrize("text", ["2 100000000\n", "2 4097\n", "2 1\n" + "0\n" * 4097])
+def test_generator_file_rejects_huge_lengths_before_allocating(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="supported"):
+            parse_generator_file(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert parse_generator_file("2 4096\n").n == 4096
