@@ -14,7 +14,6 @@ from .ring import (
     Z4,
     ZqVector,
     distance,
-    enumerate_vectors,
     format_vector,
     gray_map,
     homogeneous_weight,
@@ -41,7 +40,6 @@ from .families import (
     ParameterAuditError,
     block_repetition,
     build_family,
-    field_block_repetition_radius_formula,
     field_repetition_radius_formula,
     macdonald_alpha,
     macdonald_beta,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,19 +22,8 @@ from .verify import CHECKS, has_mismatch, run_checks
 USAGE_ERROR = 2
 
 
-def _default_threads() -> int:
-    env = os.environ.get("MODCOVER_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _add_common(parser: argparse.ArgumentParser, *, budgets: bool = True) -> None:
     parser.add_argument("--format", choices=("json", "table"), default=None, help="output format")
-    parser.add_argument(
-        "--threads", type=int, default=_default_threads(), help="accepted for compatibility; unused (env MODCOVER_THREADS)"
-    )
     if budgets:
         parser.add_argument("--budget-vectors", type=int, default=None, help="max distance evaluations of the direct scan")
         parser.add_argument("--budget-memory", type=int, default=None, help="max bytes of the coset DP's working set")
@@ -168,7 +156,6 @@ def _cmd_radius(args) -> int:
             args.method,
             r_cap=args.r_cap,
             budget=budget,
-            threads=args.threads,
             witness=not args.no_witness,
         )
     except BudgetExceededError:
@@ -192,7 +179,7 @@ def _cmd_bounds(args) -> int:
     except ValueError as exc:
         print(f"modcover: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    report = bound_report(code, metric=metric, budget=_budget_from(args), threads=args.threads)
+    report = bound_report(code, metric=metric, budget=_budget_from(args))
     if args.format == "table":
         print(f"sphere_covering_lb={report.sphere_covering_lb} delsarte_ub={report.delsarte_ub} "
               f"mattson_ub={report.mattson_ub}")
@@ -230,7 +217,7 @@ def _cmd_verify(args) -> int:
     if args.checks and args.checks != ["all"]:
         ids = args.checks
     try:
-        results = run_checks(ids, extended=args.extended, budget=_budget_from(args), threads=args.threads)
+        results = run_checks(ids, extended=args.extended, budget=_budget_from(args))
     except KeyError as exc:
         print(f"modcover verify: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR

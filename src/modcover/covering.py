@@ -240,14 +240,12 @@ def coset_leader_table(
     metric: WeightMetric,
     *,
     budget: SearchBudget = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> CosetLeaderTable:
     """Minimum weight of every coset, by the coset DP.
 
     table[g] starts at 0 for the zero key and unreached elsewhere; coordinate j
     then takes the minimum over its digits a of table[g - a h_j] + w(a), with
-    one gather of all digits per block of keys.  ``threads`` is accepted for
-    compatibility and unused.
+    one gather of all digits per block of keys.
     """
     metric.check_ring(code.ring)
     _check_table_bytes(code, metric, budget, witness=False)
@@ -331,11 +329,10 @@ def coset_weight_distribution(
     metric: WeightMetric,
     *,
     budget: SearchBudget = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> dict[int, int]:
     """Histogram coset-leader weight -> number of cosets; its largest key is the
     covering radius."""
-    return coset_leader_table(code, metric, budget=budget, threads=threads).distribution()
+    return coset_leader_table(code, metric, budget=budget).distribution()
 
 
 def _dp_radius(code, metric, budget, witness, r_cap=None) -> RadiusReport:
@@ -356,12 +353,10 @@ def covering_radius_syndrome(
     metric: WeightMetric,
     *,
     budget: SearchBudget = DEFAULT_BUDGET,
-    threads: int = 1,
     witness: bool = True,
 ) -> RadiusReport:
     """Exact radius as the largest minimum weight in the coset DP's table, with
-    the lexicographically first deep hole as witness.  ``threads`` is accepted
-    for compatibility and unused."""
+    the lexicographically first deep hole as witness."""
     return _dp_radius(code, metric, budget, witness)
 
 
@@ -424,11 +419,10 @@ def covering_radius_direct(
     metric: WeightMetric,
     *,
     budget: SearchBudget = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> RadiusReport:
     """Exact radius by scanning all ambient vectors against all codewords."""
     words = enumerate_codewords(code).words
-    return covering_radius_of_set(words, code.ring, metric, budget=budget, threads=threads)
+    return covering_radius_of_set(words, code.ring, metric, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +522,8 @@ def bound_report(
     threads: int = 1,
 ) -> BoundReport:
     """Sphere-covering and Delsarte bounds, plus a Mattson bound when the
-    generator matrix visibly splits as [[0, G1], [G0, A]]."""
+    generator matrix visibly splits as [[0, G1], [G0, A]].  ``threads`` is
+    accepted for compatibility and unused."""
     lb = sphere_covering_lower_bound(code.n, code.size, code.ring.s)
     try:
         ub = delsarte_bound(code)
@@ -540,8 +535,8 @@ def bound_report(
     if split is not None:
         j, c0, c1 = split
         try:
-            r0 = covering_radius(c0, metric, budget=budget, threads=threads).value
-            r1 = covering_radius(c1, metric, budget=budget, threads=threads).value
+            r0 = covering_radius(c0, metric, budget=budget).value
+            r1 = covering_radius(c1, metric, budget=budget).value
             if r0 is not None and r1 is not None:
                 mattson_ub = r0 + r1
                 decomposition = {"split_column": j, "left_radius": r0, "right_radius": r1}
@@ -586,18 +581,18 @@ def covering_radius(
     """
     metric.check_ring(code.ring)
     if method == "direct":
-        return covering_radius_direct(code, metric, budget=budget, threads=threads)
+        return covering_radius_direct(code, metric, budget=budget)
     if method == "syndrome":
-        return covering_radius_syndrome(code, metric, budget=budget, threads=threads, witness=witness)
+        return covering_radius_syndrome(code, metric, budget=budget, witness=witness)
     if method == "bfs":
         cap = int(metric.element_weights(code.ring).max()) * code.n if r_cap is None else r_cap
         return covering_radius_bfs(code, metric, cap, budget=budget)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     try:
-        return covering_radius_syndrome(code, metric, budget=budget, threads=threads, witness=witness)
+        return covering_radius_syndrome(code, metric, budget=budget, witness=witness)
     except BudgetExceededError:
         pass
     if (1 << (code.ring.s * code.n)) * code.size <= budget.direct_evals:
-        return covering_radius_direct(code, metric, budget=budget, threads=threads)
+        return covering_radius_direct(code, metric, budget=budget)
     return _bound_only(code, metric)

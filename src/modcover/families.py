@@ -9,7 +9,6 @@ returned code's ``family_info``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -182,7 +181,7 @@ def _delete_columns(matrix: np.ndarray, block: np.ndarray) -> np.ndarray:
     return np.array(cols, dtype=np.int64).T
 
 
-def _macdonald(kind: str, k: int, u: int, max_k: int, base_matrix) -> np.ndarray:
+def _macdonald(k: int, u: int, max_k: int, base_matrix) -> np.ndarray:
     if not 1 <= u <= k - 1:
         raise ValueError(f"need 1 <= u <= k-1, got k={k}, u={u}")
     if k > max_k:
@@ -196,7 +195,7 @@ def _macdonald(kind: str, k: int, u: int, max_k: int, base_matrix) -> np.ndarray
 def macdonald_alpha(k: int, u: int, max_k: int = SIMPLEX_BUILD_BUDGET_K) -> LinearCode:
     """Type-alpha MacDonald code: the alpha simplex matrix with a [0; G_u] column
     block deleted, of length 4^k - 4^u."""
-    rows = _macdonald("alpha", k, u, max_k, simplex_alpha_matrix)
+    rows = _macdonald(k, u, max_k, simplex_alpha_matrix)
     declared = {"length": 4**k - 4**u, "two_dimension": 2 * k}
     code = LinearCode(Z4, rows.shape[1], rows)
     return _finish(code, "macdonald-alpha", {"k": k, "u": u}, declared, audit=k <= AUDIT_BUDGET_K)
@@ -212,7 +211,7 @@ def macdonald_beta(k: int, u: int, allow_u1: bool = False, max_k: int = SIMPLEX_
         raise ValueError("k must be >= 2")
     if u == 1 and not allow_u1:
         raise ValueError("u=1 needs the unpublished k=1 beta base case; pass allow_u1=True to opt in")
-    rows = _macdonald("beta", k, u, max_k, simplex_beta_matrix)
+    rows = _macdonald(k, u, max_k, simplex_beta_matrix)
     length = ((1 << (k - 1)) - (1 << (u - 1))) * ((1 << k) + (1 << u) - 1)
     declared = {"length": length, "two_dimension": 2 * k}
     code = LinearCode(Z4, rows.shape[1], rows)
@@ -223,11 +222,6 @@ def field_repetition_radius_formula(n: int, q: int) -> int:
     """Closed-form ceil(n(q-1)/q) for the covering radius of a q-ary repetition
     code over a field, kept as a pure cross-check formula."""
     return -((-n * (q - 1)) // q)
-
-
-def field_block_repetition_radius_formula(n: int, q: int) -> int:
-    """Closed-form ceil(n(q-1)^2/q) for the q-ary block repetition code."""
-    return -((-n * (q - 1) * (q - 1)) // q)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ring import BudgetExceededError, RingSpec, Z2, ZqVector
+from .ring import BudgetExceededError, RingSpec, Z2
 
 DEFAULT_ENUM_BUDGET_K = 26
 MAX_RING_EXPONENT = 16  # per-element weight tables hold 2^s entries
@@ -116,13 +116,6 @@ class LinearCode:
         self._std.matrix.setflags(write=False)
         self._dual: LinearCode | None = None
         self.family_info = None
-
-    @classmethod
-    def from_vectors(cls, vectors: Sequence[ZqVector]) -> "LinearCode":
-        if not vectors:
-            raise ValueError("need at least one generator vector")
-        ring = vectors[0].ring
-        return cls(ring, len(vectors[0]), [v.coords for v in vectors])
 
     @property
     def std(self) -> StandardForm:

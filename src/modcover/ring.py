@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,58 +149,6 @@ def gray_map(v: ZqVector) -> ZqVector:
     for c in v.coords:
         bits.extend(_GRAY_IMAGE[c])
     return ZqVector(Z2, tuple(bits))
-
-
-def enumerate_vectors(
-    ring: RingSpec,
-    n: int,
-    order: str = "lexicographic",
-    budget: int | None = None,
-) -> Iterator[ZqVector]:
-    """Yield every vector of Z_{2^s}^n exactly once.
-
-    ``lexicographic`` runs through vectors in tuple order.  ``gray_code`` uses the
-    reflected mixed-radix Gray sequence, changing a single coordinate by +-1 per
-    step, which callers can exploit for incremental updates.  If a budget is
-    given and the stream would exceed it, the call fails up front instead of
-    truncating silently.
-    """
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    m = ring.modulus
-    total = m**n
-    if budget is not None and total > budget:
-        raise BudgetExceededError(f"enumerating {m}^{n} = {total} vectors exceeds budget {budget}")
-    if order == "lexicographic":
-        for coords in itertools.product(range(m), repeat=n):
-            yield ZqVector(ring, coords)
-    elif order == "gray_code":
-        yield from _gray_order(ring, n)
-    else:
-        raise ValueError(f"unknown enumeration order {order!r}")
-
-
-def _gray_order(ring: RingSpec, n: int) -> Iterator[ZqVector]:
-    # Loopless reflected mixed-radix Gray generation; each step moves one digit
-    # by +-1 and direction flips at the radix boundaries, so no wraparound occurs.
-    m = ring.modulus
-    if n == 0:
-        yield ZqVector(ring, ())
-        return
-    digits = [0] * n
-    focus = list(range(n + 1))
-    direction = [1] * n
-    while True:
-        yield ZqVector(ring, tuple(digits))
-        j = focus[0]
-        focus[0] = 0
-        if j == n:
-            return
-        digits[j] += direction[j]
-        if digits[j] == 0 or digits[j] == m - 1:
-            direction[j] = -direction[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
 
 
 def format_vector(v: ZqVector) -> str:

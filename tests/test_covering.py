@@ -85,16 +85,6 @@ def test_witness_attains_radius():
     assert int(dists.min()) == report.value == 5
 
 
-def test_witness_independent_of_threads():
-    code = simplex_beta(2)
-    one = covering_radius_syndrome(code, M.LEE, threads=1)
-    two = covering_radius_syndrome(code, M.LEE, threads=2)
-    assert one.value == two.value and one.witness == two.witness
-    d1 = covering_radius_direct(code, M.LEE, threads=1)
-    d2 = covering_radius_direct(code, M.LEE, threads=2)
-    assert d1.value == d2.value and d1.witness == d2.witness
-
-
 def test_direct_on_plain_word_set():
     # non-linear sets are fine for the direct engine
     words = np.array([[0, 0], [1, 2]], dtype=np.uint8)

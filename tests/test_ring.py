@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from modcover.ring import (
-    BudgetExceededError,
     RingSpec,
     WeightMetric,
     Z2,
     Z4,
     ZqVector,
     distance,
-    enumerate_vectors,
     format_vector,
     gray_map,
     homogeneous_weight,
@@ -113,36 +111,6 @@ def test_euclidean_symmetry_and_identity():
         assert distance(u, u, M.EUCLIDEAN) == 0
         for v in vectors:
             assert distance(u, v, M.EUCLIDEAN) == distance(v, u, M.EUCLIDEAN)
-
-
-def test_enumerate_lexicographic():
-    seen = [v.coords for v in enumerate_vectors(Z4, 1)]
-    assert seen == [(0,), (1,), (2,), (3,)]
-    seen = [v.coords for v in enumerate_vectors(Z4, 2)]
-    assert len(seen) == 16
-    assert seen[0] == (0, 0) and seen[-1] == (3, 3)
-    assert seen == sorted(seen)
-
-
-def test_enumerate_gray_single_step():
-    seen = [v.coords for v in enumerate_vectors(Z4, 2, order="gray_code")]
-    assert len(set(seen)) == 16
-    for a, b in zip(seen, seen[1:]):
-        deltas = [(x - y) % 4 for x, y in zip(b, a)]
-        changed = [d for d in deltas if d]
-        assert len(changed) == 1 and changed[0] in (1, 3)
-
-
-@pytest.mark.parametrize("n", range(0, 9))
-def test_enumerate_counts_distinct(n):
-    seen = {v.coords for v in enumerate_vectors(Z4, n, order="gray_code")}
-    assert len(seen) == 4**n
-
-
-def test_enumerate_budget_errors_up_front():
-    with pytest.raises(BudgetExceededError):
-        next(enumerate_vectors(Z4, 8, budget=1000))
-    assert sum(1 for _ in enumerate_vectors(Z4, 2, budget=16)) == 16
 
 
 def test_vector_text_format():

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import pytest
 
+from modcover.families import FamilySpec
+from modcover.ring import WeightMetric
 from modcover.verify import (
     BOUND_HOLDS,
     CHECKS,
@@ -125,3 +129,41 @@ def test_stale_errata_entry_is_mismatch(monkeypatch, capsys):
     assert [r.status for r in results if r.params != {"n": 2}] == [MATCH] * 5
     assert cli.main(["verify", "rep-lee-alpha"]) == 1
     assert "errata entry is stale" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).parent / "data" / "verify.json"
+
+
+def test_verify_json_is_golden(capsys):
+    # every row's exact value, formula, status and note, byte for byte
+    from modcover import cli
+
+    assert cli.main(["verify", "--format", "json"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_full_run_calls_engine_once_per_instance(monkeypatch):
+    import modcover.verify as verify
+
+    engine, calls = verify.covering_radius, []
+
+    def counted(code, metric, method="auto", **kwargs):
+        calls.append((code.ring.s, code.n, code.rows.tobytes(), metric, kwargs.get("r_cap")))
+        return engine(code, metric, method, **kwargs)
+
+    monkeypatch.setattr(verify, "covering_radius", counted)
+    verify.run_checks()
+    assert len(calls) == len(set(calls))
+    # 64 rows less 6: BRep(2,2,0) serves brep2n and brep-mn in both metrics,
+    # and each MacDonald base M_2,1 is its row's k = 2 instance (k = 3 has no
+    # exact side)
+    assert len(calls) == 58
+
+
+def test_radius_memo_keeps_caps_apart():
+    import modcover.verify as verify
+
+    ctx = verify._Context(verify.DEFAULT_BUDGET)
+    dual = FamilySpec("simplex-alpha", {"k": 1}, dual=True)
+    assert ctx.radius(dual, WeightMetric.LEE, r_cap=0) is None
+    assert ctx.radius(dual, WeightMetric.LEE) == 1
