@@ -10,10 +10,11 @@ Trans. IT 24(1), 1978):
 where h_j is coordinate j's syndrome.  It costs n * 2^s * #cosets, whatever the
 ambient size 2^(sn).  ``coset_leader_table``, ``coset_weight_distribution``,
 ``covering_radius_syndrome`` and ``covering_radius_bfs`` are views of its
-table; the lexicographically first deep hole comes from a backward
-reachability pass over the same keys.  ``covering_radius_of_set`` (the direct
-engine) scans every ambient vector against every word, so it also serves
-non-linear sets such as Gray images.  A budget that does not fit raises
+table.  The lexicographically first deep hole is the least canonical coset
+representative over the cosets of largest weight; the representatives are
+read off the dual's Howell form, one triangular solve per deep coset.
+``covering_radius_of_set`` (the direct engine) scans every ambient vector
+against every word, so it also serves non-linear sets such as Gray images.  A budget that does not fit raises
 ``BudgetExceededError`` before the work is allocated; ``covering_radius`` then
 falls back to the direct scan and then to a bounds-only interval, never to a
 wrong exact value.
@@ -21,6 +22,7 @@ wrong exact value.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,8 +46,8 @@ class SearchBudget:
 
     ``direct_evals`` caps the direct scan's distance evaluations (ambient
     vectors times words).  ``table_bytes`` caps the coset DP's working set:
-    its two weight tables, the witness pass's bit tables and its block
-    buffers.  The default fits ``simplex_alpha(2)`` (2^28 cosets, n = 16).
+    its two weight tables and the block buffers of the DP and of the witness
+    pass.  The default fits ``simplex_alpha(2)`` (2^28 cosets, n = 16).
     """
 
     direct_evals: int = 1 << 34
@@ -67,6 +69,8 @@ class RadiusReport:
     witness: tuple[int, ...] | None = None
     visited: int = 0
     seconds: float = 0.0
+    deep_cosets: int = 0  # deep cosets the witness pass ranked
+    witness_seconds: float = 0.0
 
     @property
     def exact(self) -> bool:
@@ -79,7 +83,12 @@ class RadiusReport:
         else:
             out["interval"] = [self.lo, self.hi]
         out["witness"] = list(self.witness) if self.witness is not None else None
-        out["stats"] = {"visited": self.visited, "seconds": round(self.seconds, 6)}
+        out["stats"] = {
+            "visited": self.visited,
+            "seconds": round(self.seconds, 6),
+            "deep_cosets": self.deep_cosets,
+            "witness_seconds": round(self.witness_seconds, 6),
+        }
         return out
 
 
@@ -99,8 +108,10 @@ class BoundReport:
         }
 
 
-def _exact_report(metric, method, value, witness, visited, seconds) -> RadiusReport:
-    return RadiusReport(metric.value, method, value, value, value, witness, visited, seconds)
+def _exact_report(metric, method, value, witness, visited, seconds, deep_cosets=0, witness_seconds=0.0):
+    return RadiusReport(
+        metric.value, method, value, value, value, witness, visited, seconds, deep_cosets, witness_seconds
+    )
 
 
 def _digits_of_range(start: int, stop: int, n: int, s: int) -> np.ndarray:
@@ -120,9 +131,11 @@ class _SyndromeMap:
     2^(s-v) is a coset invariant with exactly one value per coset, so the packed
     keys enumerate the cosets with no gaps.  Field i holds s - v bits and
     ``top`` has each field's high bit set, so two keys add field-wise as
-    ``((g & low) + (c & low)) ^ ((g ^ c) & top)``.  ``columns[j, a]`` is the
-    key of a * e_j.  Blocks of ``block`` keys, a multiple of 8, gather all
-    2^s digits in ``_BLOCK`` cells and line up with the bytes of a bit table.
+    ``((g & low) + (c & low)) ^ ((g ^ c) & top)``.  ``minus_low[j]`` and
+    ``minus_top[j]`` hold the keys c of -a * e_j, a = 1..2^s - 1, split so.
+    Blocks of ``block`` keys, at least 8, gather all 2^s - 1 digits in about
+    ``_BLOCK`` cells.  A code keeps its map (see ``_syndrome_map``), so the
+    map holds nothing whose size grows with the number of cosets.
     """
 
     def __init__(self, code: LinearCode):
@@ -130,22 +143,28 @@ class _SyndromeMap:
         self.s = code.ring.s
         self.n = code.n
         self.units = dual.std_unit_rows_unpermuted()
-        bits = [self.s - v for v in dual.std.levels]
+        self.levels = dual.std.levels
+        bits = [self.s - v for v in self.levels]
+        shifts = [sum(bits[:i]) for i in range(len(bits))]
         self.masks = np.array([(1 << b) - 1 for b in bits], dtype=np.int64)
-        self.shifts = np.array([sum(bits[:i]) for i in range(len(bits))], dtype=np.int64)
+        self.shifts = np.array(shifts, dtype=np.int64)
         self.total_bits = sum(bits)
         if self.total_bits > 62:
             raise BudgetExceededError(f"coset key needs {self.total_bits} bits; table is infeasible")
         self.n_cosets = 1 << self.total_bits
-        self.top = sum(1 << (int(sh) + b - 1) for sh, b in zip(self.shifts, bits))
+        self.top = sum(1 << (sh + b - 1) for sh, b in zip(shifts, bits))
         self.low = (self.n_cosets - 1) ^ self.top
         digits = np.arange(1 << self.s, dtype=np.int64)
-        self.columns = np.zeros((self.n, 1 << self.s), dtype=np.int64)
-        for unit, mask, shift in zip(self.units, self.masks, self.shifts):
-            self.columns += ((unit[:, None] * digits) & mask) << shift
+        columns = np.zeros((self.n, 1 << self.s), dtype=np.int64)  # columns[j, a]: the key of a * e_j
+        for unit, mask, shift in zip(self.units, self.masks, shifts):
+            columns += ((unit[:, None] * digits) & mask) << shift
+        minus = columns[:, :0:-1]
+        self.minus_low, self.minus_top = minus & self.low, minus & self.top
         self.block = min(max(8, _BLOCK >> self.s), self.n_cosets)
-        first = np.arange(self.block, dtype=np.int64)
-        self._first = (first & self.low, first & self.top)
+
+    @functools.cached_property
+    def canonical(self) -> "_CanonicalCosets":
+        return _CanonicalCosets(self)
 
     def keys_of(self, digits: np.ndarray) -> np.ndarray:
         syn = np.asarray(digits, dtype=np.int64) @ self.units.T
@@ -154,21 +173,139 @@ class _SyndromeMap:
     def key_of(self, coords: Sequence[int]) -> int:
         return int(self.keys_of(np.asarray(coords)[None, :])[0])
 
-    def add(self, low_part, top_part, c):
-        """Keys g + c, for g given as (g & low, g & top); ints or broadcasting arrays."""
-        out = low_part + (c & self.low)
-        out ^= top_part ^ (c & self.top)
+    def add(self, low_part, top_part, c_low, c_top):
+        """Keys g + c, for g and c given as (x & low, x & top); broadcasting arrays."""
+        out = low_part + c_low
+        out ^= top_part ^ c_top
         return out
 
-    def blocks(self):
+    def first_block(self):
+        """(g & low, g & top) for the keys g of the first block."""
+        first = np.arange(self.block, dtype=np.int64)
+        return first & self.low, first & self.top
+
+    def blocks(self, first):
         """(first key, g & low, g & top) for consecutive blocks of keys g.
 
         A block starts at a multiple of its power-of-two size, so its keys are
-        the first block's keys with the start's bits or-ed in."""
-        low, top = self._first
+        the keys of ``first_block()`` with the start's bits or-ed in."""
+        low, top = first
         yield 0, low, top
         for lo in range(self.block, self.n_cosets, self.block):
             yield lo, low | (lo & self.low), top | (lo & self.top)
+
+
+def _syndrome_map(code: LinearCode) -> _SyndromeMap:
+    """The code's key layout, built on first use and kept on the code, as its
+    dual is, so the metrics of one code share it and its canonical cosets."""
+    if code._syndromes is None:
+        code._syndromes = _SyndromeMap(code)
+    return code._syndromes
+
+
+def _valuation(x: int) -> int:
+    return (x & -x).bit_length() - 1
+
+
+def _trimmed(row: list[int]) -> list[int]:
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+class _CanonicalCosets:
+    """The lexicographically least vector of every coset, from the dual's Howell form.
+
+    The dual's rows are reduced from the right.  At the last column j where a
+    row is nonzero, the row whose entry there has the least 2-adic valuation
+    w is scaled so that entry is 2^w, cleared out of the other rows and
+    retired as the pivot of j; 2^(s-w) times it, zero at j, joins the rows.
+    Afterwards the pivot rows that end at or before j span the dual words
+    that vanish after j, so the syndromes of coordinates j..n-1 form a group
+    S_j with |S_j / S_(j+1)| = 2^(e_j): e_j = s - w at a pivot, 0 elsewhere.
+    The lex-min vector of a coset therefore takes at column j the least digit
+    below 2^(e_j) that leaves the rest of the syndrome in S_(j+1).  It is zero
+    off the pivot columns J, and the pivots' digits, in ascending column
+    order, solve the triangular system x . d_q = sigma_q:
+
+        x_q = ((sigma_q - sum_(q' < q) d_q[j_q'] x_q') mod 2^s) >> w_q.
+
+    Each pivot row is carried as coefficients lam over the dual's unit rows
+    u_i, and lam_qi is a multiple of 2^(v_i), so sigma_q = sum_i lam_qi
+    field_i(key) mod 2^s comes from the packed key alone.  Rows are lists of
+    Python ints, each cut after its last nonzero entry, so the loop runs
+    once per pivot, at most once per key bit.
+    """
+
+    def __init__(self, smap: _SyndromeMap):
+        s = smap.s
+        m = 1 << s
+        width = len(smap.levels)
+        rows = []  # (entries up to the last nonzero one, coefficients over the unit rows)
+        for i, (unit, v) in enumerate(zip(smap.units.tolist(), smap.levels)):
+            lam = [0] * width
+            lam[i] = 1 << v
+            rows.append((_trimmed([x << v for x in unit] if v else unit), lam))
+        pivots = []  # (column, w, entries, coefficients), by descending column
+        while rows:
+            # the longest row, and among those the least valuation at its end
+            p = min(range(len(rows)), key=lambda k: (-len(rows[k][0]), _valuation(rows[k][0][-1])))
+            row, lam = rows.pop(p)
+            j, w = len(row) - 1, _valuation(row[-1])
+            if (inv := pow(row[j] >> w, -1, m)) != 1:
+                row = [x * inv % m for x in row]
+                lam = [c * inv % m for c in lam]
+            kept = []
+            for other, coeffs in rows:
+                if len(other) == j + 1:
+                    q = other[j] >> w
+                    other = _trimmed([(a - q * b) % m for a, b in zip(other, row)])
+                    coeffs = [(a - q * b) % m for a, b in zip(coeffs, lam)]
+                if other:
+                    kept.append((other, coeffs))
+            t = 1 << (s - w)
+            if w and (shifted := _trimmed([x * t % m for x in row])):
+                kept.append((shifted, [c * t % m for c in lam]))
+            rows = kept
+            pivots.append((j, w, row, lam))
+        pivots.reverse()
+        self.n, self.mask = smap.n, m - 1
+        self.shifts, self.masks = smap.shifts[:, None], smap.masks[:, None]
+        self.columns = tuple(j for j, *_ in pivots)
+        valuations = [w for _, w, *_ in pivots]
+        self.exponents = tuple(s - w for w in valuations)
+        self.offsets = tuple(sum(self.exponents[q + 1 :]) for q in range(len(pivots)))
+        self.place = np.array([1 << offset for offset in self.offsets], dtype=np.int64)
+        self.lam = np.array([lam for *_, lam in pivots], dtype=np.int64).reshape(len(pivots), width)
+        # d[q', q] = d_q'[j_q], the pivot rows on the pivot columns: lower triangular
+        d = np.array(
+            [[row[j] if j < len(row) else 0 for j in self.columns] for _, _, row, _ in pivots], dtype=np.int64
+        ).reshape(len(pivots), len(pivots))
+        self.steps = [(w, d[q + 1 :, q, None]) for q, w in enumerate(valuations)]
+        # keys per call of ``rank``: its int64 temporaries stay within _BLOCK * _BLOCK_BYTES
+        self.block = max(1, _BLOCK * _BLOCK_BYTES // (8 * (width + 3 * len(pivots) + 1)))
+
+    def rank(self, keys: np.ndarray) -> np.ndarray:
+        """The pivot digits of each key's canonical vector, packed with the
+        earliest pivot most significant, which orders the vectors
+        lexicographically."""
+        fields = keys[None, :] >> self.shifts
+        fields &= self.masks
+        sigma = self.lam @ fields
+        digits = np.empty_like(sigma)
+        for q, (w, later) in enumerate(self.steps):
+            x = np.bitwise_and(sigma[q], self.mask, out=digits[q])
+            if w:
+                x >>= w
+            if len(later):
+                sigma[q + 1 :] -= later * x
+        return self.place @ digits
+
+    def vector(self, rank: int) -> tuple[int, ...]:
+        out = [0] * self.n
+        for j, e, offset in zip(self.columns, self.exponents, self.offsets):
+            out[j] = (rank >> offset) & ((1 << e) - 1)
+        return tuple(out)
 
 
 def _min_weight_dtype(max_weight: int):
@@ -186,25 +323,30 @@ def _table_dtype(n: int, wtable: np.ndarray):
     return _min_weight_dtype(unreached + wmax), unreached
 
 
-def _working_set_bytes(code: LinearCode, metric: WeightMetric, witness: bool) -> int:
-    """Peak bytes of the coset DP, by arithmetic on the code's parameters.
+def _working_set_bytes(code: LinearCode, wtable: np.ndarray) -> int:
+    """Peak bytes of the coset DP and its witness pass, by arithmetic on the
+    code's parameters and the metric's weight table.
 
-    Two weight tables, the block buffers and the n x 2^s column keys with two
-    temporaries; with the witness pass, at most min(n, key bits) + 2 bit
-    tables and one byte per coset (see ``_lex_first_deep_hole``).
+    Both passes hold one weight table and the column keys: three n x 2^s
+    int64 arrays while they are built, two afterwards.  The DP adds the second table and a
+    block of max(_BLOCK, 8 * 2^s) gathered cells of _BLOCK_BYTES each.  The
+    witness pass adds a scan of _BLOCK keys (a mask byte and an int64 index
+    each), _BLOCK * _BLOCK_BYTES of temporaries while it ranks the deep keys,
+    and, while the dual's Howell form is built, at most twice the key bits of
+    rows and coefficient lists of Python ints (a list slot and an int object,
+    40 bytes, per entry).
     """
-    bits = code.ring.s * code.n - code.two_dimension
-    cosets = 1 << bits
-    dtype, _ = _table_dtype(code.n, metric.element_weights(code.ring))
-    need = 2 * cosets * np.dtype(dtype).itemsize + max(_BLOCK, 8 << code.ring.s) * _BLOCK_BYTES
-    need += 3 * 8 * code.n << code.ring.s
-    if witness:
-        need += (min(code.n, bits) + 2) * ((cosets + 7) // 8) + cosets
-    return need
+    s, n = code.ring.s, code.n
+    bits = s * n - code.two_dimension
+    dtype, _ = _table_dtype(n, wtable)
+    table = (1 << bits) * np.dtype(dtype).itemsize
+    dp = table + max(_BLOCK, 8 << s) * _BLOCK_BYTES
+    witness = _BLOCK * (9 + _BLOCK_BYTES) + 2 * bits * (n + bits) * 40
+    return table + max(dp, witness) + (3 * 8 * n << s)
 
 
-def _check_table_bytes(code: LinearCode, metric: WeightMetric, budget: SearchBudget, witness: bool) -> None:
-    need = _working_set_bytes(code, metric, witness)
+def _check_table_bytes(code: LinearCode, wtable: np.ndarray, budget: SearchBudget) -> None:
+    need = _working_set_bytes(code, wtable)
     if need > budget.table_bytes:
         raise BudgetExceededError(
             f"the coset DP needs {need} bytes, over the table budget of {budget.table_bytes}"
@@ -247,21 +389,20 @@ def coset_leader_table(
     then takes the minimum over its digits a of table[g - a h_j] + w(a), with
     one gather of all digits per block of keys.
     """
-    metric.check_ring(code.ring)
-    _check_table_bytes(code, metric, budget, witness=False)
-    smap = _SyndromeMap(code)
     wtable = metric.element_weights(code.ring)
+    _check_table_bytes(code, wtable, budget)
+    smap = _syndrome_map(code)
     dtype, unreached = _table_dtype(code.n, wtable)
     m = 1 << smap.s
-    digits = np.arange(1, m)
-    weights = wtable[digits].astype(dtype)[:, None]
+    weights = wtable[1:].astype(dtype)[:, None]
     table = np.full(smap.n_cosets, unreached, dtype=dtype)
     table[0] = 0
     nxt = np.empty_like(table)
+    first = smap.first_block()
     for j in range(smap.n):
-        minus = smap.columns[j, m - digits][:, None]  # keys of -a * e_j
-        for lo, low, top in smap.blocks():
-            gathered = table[smap.add(low, top, minus)]
+        minus_low, minus_top = smap.minus_low[j, :, None], smap.minus_top[j, :, None]
+        for lo, low, top in smap.blocks(first):
+            gathered = table[smap.add(low, top, minus_low, minus_top)]
             gathered += weights
             hi = lo + len(low)
             np.minimum(table[lo:hi], gathered.min(axis=0), out=nxt[lo:hi])
@@ -271,57 +412,24 @@ def coset_leader_table(
     return CosetLeaderTable(code, metric, smap, table, smap.n * (m - 1) * smap.n_cosets)
 
 
-def _lex_first_deep_hole(table: CosetLeaderTable, radius: int) -> tuple[int, ...]:
-    """Lexicographically first vector whose coset minimum equals ``radius``.
+def _canonical_deep_hole(table: CosetLeaderTable, radius: int) -> tuple[tuple[int, ...], int]:
+    """Lexicographically first vector whose coset minimum equals ``radius``,
+    and the number of such deep cosets.
 
-    The backward pass builds bit tables reach[j], j = n..1, marking the keys
-    from which some digits on coordinates j..n-1 lead to a coset of weight
-    ``radius``; the greedy pass then takes, coordinate by coordinate, the
-    smallest digit whose prefix key is marked in the next table.  reach[j] is
-    the target plus the subgroup spanned by the columns j..n-1, so it changes
-    at most once per key bit: equal neighbours share one array, and at most
-    min(n, key bits) + 1 tables are held, plus the one being built and the
-    previous one unpacked to a byte per key.
+    Every vector of a deep coset is a deep hole, so the first one is the least
+    canonical vector over the deep cosets.  The table is scanned _BLOCK keys
+    at a time, and the deep keys are ranked in blocks under a running minimum.
     """
-    smap = table.syndromes
-    n, size = smap.n, smap.n_cosets
-    target = np.empty((size + 7) // 8, dtype=np.uint8)
-    filled = 0  # marked keys in the latest table
-    for lo in range(0, size, smap.block):
-        hi = min(lo + smap.block, size)
-        hit = table.weights[lo:hi] == radius
-        filled += int(np.count_nonzero(hit))
-        target[lo >> 3 : (hi + 7) >> 3] = np.packbits(hit, bitorder="little")
-    reach = [target] * (n + 1)
-    for j in range(n - 1, 0, -1):
-        prev = reach[j + 1]
-        if filled == size:  # so is every earlier table
-            reach[: j + 1] = [prev] * (j + 1)
-            break
-        plus = smap.columns[j, 1:][:, None]  # keys of a * e_j
-        marked = np.unpackbits(prev, count=size, bitorder="little").view(bool)
-        cur = np.empty_like(prev)
-        count = 0
-        for lo, low, top in smap.blocks():
-            hi = lo + len(low)
-            hit = marked[smap.add(low, top, plus)].any(axis=0)
-            hit |= marked[lo:hi]
-            count += int(np.count_nonzero(hit))
-            cur[lo >> 3 : (hi + 7) >> 3] = np.packbits(hit, bitorder="little")
-        reach[j] = prev if count == filled else cur
-        filled = count
-    key, out = 0, []
-    for j in range(n):
-        marks, col = reach[j + 1], smap.columns[j].tolist()
-        for a in range(len(col)):
-            k = smap.add(key & smap.low, key & smap.top, col[a])
-            if (int(marks[k >> 3]) >> (k & 7)) & 1:
-                key = k
-                out.append(a)
-                break
-        else:
-            raise AssertionError("no deep hole found at the computed radius")
-    return tuple(out)
+    canon = table.syndromes.canonical
+    best, deep = None, 0
+    for lo in range(0, len(table.weights), _BLOCK):
+        keys = np.flatnonzero(table.weights[lo : lo + _BLOCK] == radius)
+        keys += lo
+        deep += len(keys)
+        for i in range(0, len(keys), canon.block):
+            least = int(canon.rank(keys[i : i + canon.block]).min())
+            best = least if best is None else min(best, least)
+    return canon.vector(best), deep
 
 
 def coset_weight_distribution(
@@ -337,15 +445,16 @@ def coset_weight_distribution(
 
 def _dp_radius(code, metric, budget, witness, r_cap=None) -> RadiusReport:
     t0 = time.perf_counter()
-    _check_table_bytes(code, metric, budget, witness)
     table = coset_leader_table(code, metric, budget=budget)
     radius = int(table.weights.max())
     if r_cap is not None and radius > r_cap:
         return RadiusReport(
             metric.value, "syndrome_table", r_cap + 1, None, None, None, table.visited, time.perf_counter() - t0
         )
-    wit = _lex_first_deep_hole(table, radius) if witness else None
-    return _exact_report(metric, "syndrome_table", radius, wit, table.visited, time.perf_counter() - t0)
+    t1 = time.perf_counter()
+    hole, deep = _canonical_deep_hole(table, radius) if witness else (None, 0)
+    t2 = time.perf_counter()
+    return _exact_report(metric, "syndrome_table", radius, hole, table.visited, t2 - t0, deep, t2 - t1)
 
 
 def covering_radius_syndrome(
@@ -455,8 +564,8 @@ def delsarte_bound(code: LinearCode, *, budget_k: int = 26) -> int | None:
     bound on the homogeneous covering radius over Z2 and Z4.
 
     Over Z_{2^s} with s >= 3 the count does not bound the radius in weight
-    units (the zero code of length 2 over Z8 has radius 8 and three dual
-    weights), so the result there is None.  The dual is streamed through its
+    units (the zero code of length 2 over Z8 has radius 8 and four nonzero
+    dual weights, 2, 4, 6 and 8), so the result there is None.  The dual is streamed through its
     2-basis in chunks, so only the set of distinct weights is ever held."""
     from .linalg import two_basis
 

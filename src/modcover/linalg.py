@@ -115,6 +115,7 @@ class LinearCode:
         self._std = std
         self._std.matrix.setflags(write=False)
         self._dual: LinearCode | None = None
+        self._syndromes = None  # the coset DP's key layout, built by covering on first use
         self.family_info = None
 
     @property

@@ -82,6 +82,8 @@ def test_radius_zero_code(tmp_path):
     assert result.returncode == 0, result.stderr
     payload = json.loads(result.stdout)
     assert payload["value"] == 2
+    assert payload["stats"]["deep_cosets"] == 1  # of the cosets of weight 0, 1, 2, 1
+    assert payload["stats"]["witness_seconds"] >= 0
 
 
 def test_radius_budget_exhaustion_yields_interval(tmp_path):

@@ -10,6 +10,7 @@ from modcover.covering import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     SearchBudget,
+    _syndrome_map,
     _working_set_bytes,
     bound_report,
     coset_leader_table,
@@ -99,13 +100,21 @@ def test_direct_budget_error_suggests_alternative():
 
 
 def test_syndrome_budget_errors():
-    # a budget that holds the table but not the witness pass's bit tables
+    # the witness pass works in blocks of bounded size: beyond the two weight
+    # tables and the column keys, the working set does not grow with the cosets
+    lee = M.LEE.element_weights(Z4)
+    for n in (4, 8, 12):  # 2^6, 2^14 and 2^22 cosets
+        code = repetition_alpha(n)
+        tables = 2 * (4**n // code.size)
+        assert _working_set_bytes(code, lee) - tables - (3 * 8 * n << 2) <= 1 << 20
     code = repetition_alpha(4)
-    table_only = SearchBudget(table_bytes=_working_set_bytes(code, M.LEE, witness=False))
-    assert coset_leader_table(code, M.LEE, budget=table_only).weights.max() == 4
-    assert covering_radius_syndrome(code, M.LEE, budget=table_only, witness=False).value == 4
-    with pytest.raises(BudgetExceededError):
-        covering_radius_syndrome(code, M.LEE, budget=table_only)
+    exact = SearchBudget(table_bytes=_working_set_bytes(code, lee))
+    assert coset_leader_table(code, M.LEE, budget=exact).weights.max() == 4
+    assert covering_radius_syndrome(code, M.LEE, budget=exact).value == 4
+    short = SearchBudget(table_bytes=exact.table_bytes - 1)
+    for witness in (True, False):
+        with pytest.raises(BudgetExceededError):
+            covering_radius_syndrome(code, M.LEE, budget=short, witness=witness)
     with pytest.raises(BudgetExceededError):
         covering_radius_syndrome(repetition_alpha(6), M.LEE, budget=SearchBudget(table_bytes=10))
 
@@ -141,7 +150,9 @@ def test_default_budget_fits_simplex_alpha_2_by_arithmetic():
     code = simplex_alpha(2)  # n = 16, 2^28 cosets
     assert code.ring.s * code.n - code.two_dimension == 28
     for metric in M:
-        assert _working_set_bytes(code, metric, witness=True) <= DEFAULT_BUDGET.table_bytes
+        need = _working_set_bytes(code, metric.element_weights(Z4))
+        assert need <= DEFAULT_BUDGET.table_bytes
+        assert need < 0.51 * 2**30  # two one-byte tables of 2^28 cosets, and blocks
 
 
 def test_auto_dispatch_degrades_to_bounds():
@@ -290,6 +301,92 @@ def test_engines_match_brute_force_over_z2_z4_z8(seed):
             assert (capped.lo, capped.hi, capped.value) == (brute.value, None, None)
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_lex_first_deep_hole_matches_oracle_over_z2_to_z16(seed):
+    # generators scaled by powers of two give torsion rows, so the dual's
+    # Howell form has pivots of every valuation
+    s = seed % 4 + 1
+    rng = np.random.default_rng([s, seed, 21])
+    ring = RingSpec(s)
+    n = int(rng.integers(2, {1: 8, 2: 5, 3: 3, 4: 3}[s] + 1))
+    rows = rng.integers(0, ring.modulus, size=(int(rng.integers(1, 3)), n))
+    rows = (rows << rng.integers(0, s, size=(len(rows), 1))) % ring.modulus
+    code = LinearCode(ring, n, rows)
+    words = oracles.span(code.rows.tolist(), n, ring.modulus)
+    for metric in M:
+        if metric is M.LEE and s > 2:
+            continue
+        want = oracles.covering_radius(words, n, oracles.weights(metric.value, ring.modulus), ring.modulus)
+        report = covering_radius_syndrome(code, metric)
+        assert (report.value, report.witness) == want, (code.rows, metric)
+
+
+def test_z4_generator_2_1_needs_the_doubled_pivot_row():
+    # The dual is spanned by (1, 2); its Howell form from the right needs
+    # 2 * (1, 2) = (2, 0) as a second pivot row, or column 0 would look free.
+    code = LinearCode(Z4, 2, [[2, 1]])
+    words = oracles.span(code.rows.tolist(), 2)
+    for metric in (M.LEE, M.HAMMING):
+        report = covering_radius_syndrome(code, metric)
+        assert report.witness == (0, 1)
+        assert (report.value, report.witness) == oracles.covering_radius(words, 2, oracles.TABLES[metric.value])
+
+
+@pytest.mark.parametrize(
+    "s, rows",
+    [
+        (1, [[1, 1, 0, 1, 0, 0], [0, 1, 1, 0, 1, 0]]),
+        (2, [[2, 1, 0, 3], [0, 2, 2, 0]]),
+        (2, [[1, 3, 2, 0, 1], [0, 0, 0, 2, 2]]),
+        (3, [[4, 2, 6], [0, 4, 0]]),
+        (3, []),
+        (4, [[8, 4, 2]]),
+        (4, [[12, 2], [0, 8]]),
+    ],
+)
+def test_canonical_vectors_are_coset_lex_minima(s, rows):
+    # every key's canonical vector lies in its coset, is zero off the pivot
+    # columns with digits below 2^e, and is the coset's brute-force lex-min
+    ring = RingSpec(s)
+    n = len(rows[0]) if rows else 3
+    code = LinearCode(ring, n, rows)
+    smap = _syndrome_map(code)
+    canon = smap.canonical
+    ambient = np.array(list(itertools.product(range(ring.modulus), repeat=n)))  # lexicographic order
+    keys = smap.keys_of(ambient)
+    _, first = np.unique(keys, return_index=True)  # the lex-min of each key's coset
+    assert len(first) == smap.n_cosets == 1 << sum(canon.exponents)
+    ranks = canon.rank(np.arange(smap.n_cosets))
+    vectors = [canon.vector(int(r)) for r in ranks]
+    assert np.array_equal(smap.keys_of(np.array(vectors)), np.arange(smap.n_cosets))
+    for key, vec in enumerate(vectors):
+        assert vec == tuple(ambient[first[key]]), key
+        assert all(x == 0 for j, x in enumerate(vec) if j not in canon.columns)
+        assert all(vec[j] < 1 << e for j, e in zip(canon.columns, canon.exponents))
+    assert sorted(vectors) == [vectors[k] for k in np.argsort(ranks)]
+
+
+def test_dense_deep_cosets_stay_within_the_working_set():
+    # the zero code of length 5 over Z16: 15^5 of its 2^20 cosets (72%) have
+    # Hamming weight 5, and the witness pass ranks them all in blocks
+    code = LinearCode(RingSpec(4), 5, [])
+    tracemalloc.start()
+    try:
+        report = covering_radius_syndrome(code, M.HAMMING)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.value, report.witness, report.deep_cosets) == (5, (1,) * 5, 15**5)
+    assert peak <= _working_set_bytes(code, M.HAMMING.element_weights(code.ring))
+
+
+def test_report_stats_count_the_witness_pass():
+    zero = LinearCode(Z4, 1, [])  # cosets of weight 0, 1, 2, 1: one is deep
+    stats = covering_radius_syndrome(zero, M.LEE).to_dict()["stats"]
+    assert stats["deep_cosets"] == 1 and stats["witness_seconds"] >= 0
+    assert covering_radius_syndrome(zero, M.LEE, witness=False).to_dict()["stats"]["deep_cosets"] == 0
+
+
 def test_working_set_arithmetic_covers_a_wide_ring():
     # over Z_65536 the n x 2^s column keys outweigh the tables of this code's
     # 64 cosets (x_i mod 2); the arithmetic must still cover every allocation
@@ -301,7 +398,7 @@ def test_working_set_arithmetic_covers_a_wide_ring():
     finally:
         tracemalloc.stop()
     assert (report.value, report.witness) == (6, (1,) * 6)
-    assert peak <= _working_set_bytes(code, M.EUCLIDEAN, witness=True)
+    assert peak <= _working_set_bytes(code, M.EUCLIDEAN.element_weights(code.ring))
 
 
 @pytest.mark.parametrize("n", [3, 4])
